@@ -3,7 +3,8 @@
 Configs are JSON records (see README for the schema); unknown keys are hard
 errors and the seed is mandatory so every report is reproducible.  Floats in
 all output files are formatted with 17 significant digits, which makes
-report.json byte-identical across reruns and thread counts.
+report.json byte-identical across reruns.  Replicas run serially; the
+thread count is accepted and ignored.
 
 Experiments: simulate, boundary-exponent, slope, criterion, robustness-scan,
 diagnostics.
@@ -16,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .criteria import invasion_rate, lorenz_lambda0, lorenz_lambda_mc, weighted_invasion_criterion
 from .errors import ExtinctdError, MissingField, ParseError, UnknownKey, UnknownModel
-from .exponents import boundary_exponent, robustness_scan, trajectory_slope
+from .exponents import _estimate, boundary_exponent, robustness_scan, trajectory_slope
 from .integrators import SimConfig, simulate
 from .lyapunov import (
     dynkin_residual,
@@ -33,7 +33,7 @@ from .lyapunov import (
     suite_diagnostics,
     tightness_check,
 )
-from .process_core import RngStream, StateVector, make_bundle, registered_models
+from .process_core import StateVector, make_bundle, registered_models, replica_streams
 
 EXPERIMENTS = ("simulate", "boundary-exponent", "slope", "criterion",
                "robustness-scan", "diagnostics")
@@ -210,26 +210,25 @@ def _csv_text(header, rows) -> str:
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
-    """Deterministic replica fan-out: results ordered by index."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    """Replica fan-out, serial and ordered by index.
+
+    ``threads`` is ignored: the replica work holds the GIL, so a thread pool
+    made runs slower, not faster.
+    """
+    return [fn(i) for i in range(count)]
 
 
 # -- experiment implementations ------------------------------------------------
 
-def _run_simulate(cfg, bundle, threads):
+def _run_simulate(cfg, bundle):
     sim = cfg.sim_config()
-    ics = cfg.state_vectors(bundle.default_ic)
-    jobs = [(i, r) for i in range(len(ics)) for r in range(cfg.replicas)]
+    replicas = replica_streams(cfg.state_vectors(bundle.default_ic), cfg.replicas, cfg.seed)
 
     def one(j):
-        i, r = jobs[j]
-        rid = i * cfg.replicas + r
-        return rid, simulate(bundle.model, ics[i], sim, RngStream(cfg.seed, rid))
+        rid, ic, rng = replicas[j]
+        return rid, simulate(bundle.model, ic, sim, rng)
 
-    results = _map_indexed(one, len(jobs), threads)
+    results = _map_indexed(one, len(replicas), 1)
     rows = []
     summary = []
     for rid, traj in results:
@@ -254,17 +253,11 @@ def _exponent_rows(labelled):
             for label, est in labelled]
 
 
-def _boundary_h(bundle):
-    # families whose H extends without a blow-up (eco, kolmogorov) carry it
-    # on the suite rather than as a separate boundary observable
-    return bundle.boundary_H if bundle.boundary_H is not None else bundle.suite.H
-
-
-def _run_boundary_exponent(cfg, bundle, threads):
+def _run_boundary_exponent(cfg, bundle):
     sim = cfg.sim_config()
     ics = cfg.state_vectors(bundle.boundary_ic)
     burn = cfg.options.get("burn_in")
-    est = boundary_exponent(bundle.boundary, _boundary_h(bundle), ics, sim,
+    est = boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
                             cfg.replicas, seed=cfg.seed, burn_in=burn)
     files = {"exponents.csv": _csv_text(
         ["label", "method", "point", "ci_low", "ci_high"],
@@ -272,38 +265,33 @@ def _run_boundary_exponent(cfg, bundle, threads):
     return {"estimate": est.to_dict()}, files
 
 
-def _run_slope(cfg, bundle, threads):
+def _run_slope(cfg, bundle):
     sim = cfg.sim_config()
-    ics = cfg.state_vectors(bundle.default_ic)
+    replicas = replica_streams(cfg.state_vectors(bundle.default_ic), cfg.replicas, cfg.seed)
     window = float(cfg.options.get("window", 0.5))
-    jobs = [(i, r) for i in range(len(ics)) for r in range(cfg.replicas)]
 
     def one(j):
-        i, r = jobs[j]
-        rid = i * cfg.replicas + r
-        traj = simulate(bundle.model, ics[i], sim, RngStream(cfg.seed, rid))
+        rid, ic, rng = replicas[j]
+        traj = simulate(bundle.model, ic, sim, rng)
         return rid, trajectory_slope(traj, bundle.suite.V, window).point
 
-    results = _map_indexed(one, len(jobs), threads)
-    slopes = np.asarray([s for _, s in results])
-    point = float(slopes.mean())
-    half = 1.96 * float(slopes.std(ddof=1)) / np.sqrt(len(slopes)) if len(slopes) > 1 else 0.0
+    results = _map_indexed(one, len(replicas), 1)
+    est = _estimate([s for _, s in results], sim.t_final, "trajectory_slope")
     report = {
-        "slope": point, "ci_low": point - half, "ci_high": point + half,
-        "n_replicas": len(slopes),
+        "slope": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
+        "n_replicas": est.n_replicas,
         "alpha_candidate": bundle.suite.alpha_candidate,
     }
     rows = [[f"replica_{rid}", "trajectory_slope", s, s, s] for rid, s in results]
-    rows.append(["mean", "trajectory_slope", point, point - half, point + half])
+    rows += _exponent_rows([("mean", est)])
     files = {"exponents.csv": _csv_text(
         ["label", "method", "point", "ci_low", "ci_high"], rows)}
     return report, files
 
 
-def _run_criterion(cfg, bundle, threads):
+def _run_criterion(cfg, bundle):
     sim = cfg.sim_config()
-    name = bundle.name
-    if name == "lorenz":
+    if bundle.name == "lorenz":
         p = bundle.params
         est = lorenz_lambda_mc(p["gamma"], p["z_star"], p["eta"], p["alpha0"],
                                sim, cfg.replicas, seed=cfg.seed,
@@ -313,7 +301,7 @@ def _run_criterion(cfg, bundle, threads):
         if p["alpha0"] == 0.0:
             report["lambda0_closed_form"] = lorenz_lambda0(p["z_star"])
         return report, {}
-    if name in ("eco-discrete", "kolmogorov"):
+    if bundle.species_H is not None:
         ics = cfg.state_vectors(bundle.boundary_ic)
         rates = [invasion_rate(bundle.boundary, i, bundle.species_H(i), ics,
                                sim, cfg.replicas, seed=cfg.seed,
@@ -327,7 +315,7 @@ def _run_criterion(cfg, bundle, threads):
     index = bundle.suite.alpha_candidate
     if index is None:
         ics = cfg.state_vectors(bundle.boundary_ic)
-        est = boundary_exponent(bundle.boundary, _boundary_h(bundle), ics, sim,
+        est = boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
                                 cfg.replicas, seed=cfg.seed,
                                 burn_in=cfg.options.get("burn_in"))
         return {"index": est.point, "extinct": bool(est.ci_low > 0.0),
@@ -335,7 +323,7 @@ def _run_criterion(cfg, bundle, threads):
     return {"index": float(index), "extinct": bool(index > 0.0)}, {}
 
 
-def _run_scan(cfg, bundle, threads):
+def _run_scan(cfg, bundle):
     sim = cfg.sim_config()
     param = cfg.options.get("scan_parameter")
     values = cfg.options.get("scan_values")
@@ -345,7 +333,7 @@ def _run_scan(cfg, bundle, threads):
 
     def family(theta):
         b = make_bundle(cfg.model_name, {**cfg.model_params, param: theta})
-        return b.boundary, _boundary_h(b)
+        return b.boundary, b.boundary_H
 
     report = robustness_scan(family, values, ics, sim, cfg.replicas,
                              seed=cfg.seed, burn_in=cfg.options.get("burn_in"),
@@ -362,7 +350,7 @@ def _run_scan(cfg, bundle, threads):
     return out, files
 
 
-def _run_diagnostics(cfg, bundle, threads):
+def _run_diagnostics(cfg, bundle):
     sim = cfg.sim_config()
     suite = bundle.suite
     ics = cfg.state_vectors(bundle.default_ic)
@@ -381,10 +369,13 @@ def _run_diagnostics(cfg, bundle, threads):
                            "extinction set; supply interior ics")
     suite_rep = suite_diagnostics(bundle.model, suite, points)
 
-    def one(r):
-        return simulate(bundle.model, ics[0], sim, RngStream(cfg.seed, r))
+    replicas = replica_streams(ics[:1], cfg.replicas, cfg.seed)
 
-    trajs = _map_indexed(one, cfg.replicas, threads)
+    def one(j):
+        _, ic, rng = replicas[j]
+        return simulate(bundle.model, ic, sim, rng)
+
+    trajs = _map_indexed(one, len(replicas), 1)
     tight = tightness_check(trajs[0], suite, slack=float(cfg.options.get("slack", 0.0)),
                             tail_fraction=float(cfg.options.get("tail_fraction", 0.25)))
     rows = []
@@ -422,10 +413,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Run the configured experiment and write report.json plus CSVs.
 
     All outputs are buffered and written atomically at the end; identical
-    config and seed produce byte-identical report.json at any thread count.
+    config and seed produce byte-identical report.json.  ``threads`` is
+    accepted and ignored: replicas run serially.
     """
     bundle = make_bundle(cfg.model_name, cfg.model_params)
-    report_body, files = _RUNNERS[cfg.experiment](cfg, bundle, threads)
+    report_body, files = _RUNNERS[cfg.experiment](cfg, bundle)
     report = {"config": emit_config(cfg), "experiment": cfg.experiment,
               "model": cfg.model_name, **report_body}
     os.makedirs(cfg.output, exist_ok=True)

@@ -24,7 +24,7 @@ from .errors import (
     Reducible,
     SingularSolve,
 )
-from .process_core import StateVector, validate_rate_matrix
+from .process_core import StateVector, replica_streams, validate_rate_matrix
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -195,15 +195,11 @@ def invasion_rate(boundary_model, species_index: int, H_i: Callable, ics,
     from .exponents import _estimate
     from .integrators import simulate
     from .lyapunov import occupation_average
-    from .process_core import RngStream
 
     burn = cfg.t_final * 0.1 if burn_in is None else burn_in
     neg_h = lambda x, s=None: -np.asarray(H_i(x, s), dtype=float)
-    vals = []
-    for i, ic in enumerate(ics):
-        for r in range(reps):
-            traj = simulate(boundary_model, ic, cfg, RngStream(seed, i * reps + r))
-            vals.append(occupation_average(traj, neg_h, burn))
+    vals = [occupation_average(simulate(boundary_model, ic, cfg, rng), neg_h, burn)
+            for _, ic, rng in replica_streams(ics, reps, seed)]
     return _estimate(vals, cfg.t_final, "boundary_average")
 
 

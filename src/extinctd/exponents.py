@@ -15,7 +15,7 @@ from .criteria import eigenvalues
 from .errors import WindowTooShort
 from .integrators import SimConfig, simulate
 from .lyapunov import LyapunovSuite, eval_along, occupation_average
-from .process_core import ModelSpec, RngStream, StateVector, Trajectory
+from .process_core import ModelSpec, StateVector, Trajectory, replica_streams
 
 MIN_WINDOW_POINTS = 100
 
@@ -68,14 +68,9 @@ def boundary_exponent(boundary_model: ModelSpec, H: Callable,
     if not ics:
         raise ValueError("need at least one boundary initial condition")
     burn = cfg.t_final * 0.1 if burn_in is None else burn_in
-    per_ic = []
-    for i, ic in enumerate(ics):
-        vals = []
-        for r in range(reps):
-            traj = simulate(boundary_model, ic, cfg,
-                            RngStream(seed, i * reps + r))
-            vals.append(occupation_average(traj, H, burn))
-        per_ic.append(np.asarray(vals))
+    vals = [occupation_average(simulate(boundary_model, ic, cfg, rng), H, burn)
+            for _, ic, rng in replica_streams(ics, reps, seed)]
+    per_ic = np.asarray(vals).reshape(len(ics), reps)
     means = [v.mean() for v in per_ic]
     argmin = int(np.argmin(means))
     est = _estimate(per_ic[argmin], cfg.t_final, "boundary_average")
@@ -110,10 +105,8 @@ def slope_experiment(model: ModelSpec, V: Callable, x0: StateVector,
                      cfg: SimConfig, reps: int, seed: int = 0,
                      window: float = 0.5) -> ExponentEstimate:
     """Replica-averaged trajectory slope with CI from the replica spread."""
-    slopes = []
-    for r in range(reps):
-        traj = simulate(model, x0, cfg, RngStream(seed, r))
-        slopes.append(trajectory_slope(traj, V, window).point)
+    slopes = [trajectory_slope(simulate(model, ic, cfg, rng), V, window).point
+              for _, ic, rng in replica_streams([x0], reps, seed)]
     return _estimate(slopes, cfg.t_final, "trajectory_slope")
 
 
@@ -136,21 +129,19 @@ def extinction_fraction(model: ModelSpec, suite: LyapunovSuite,
         raise ValueError("suite.alpha_candidate must be set")
     alpha = suite.alpha_candidate
     wins = 0
-    total = 0
-    for i, ic in enumerate(ics):
-        for r in range(reps):
-            traj = simulate(model, ic, cfg, RngStream(seed, i * reps + r))
-            total += 1
-            if _is_early(traj, cfg):
-                wins += 1
-                continue
-            try:
-                est = trajectory_slope(traj, suite.V, window)
-            except WindowTooShort:
-                continue
-            if est.point >= alpha - tol:
-                wins += 1
-    return wins / total
+    replicas = replica_streams(ics, reps, seed)
+    for _, ic, rng in replicas:
+        traj = simulate(model, ic, cfg, rng)
+        if _is_early(traj, cfg):
+            wins += 1
+            continue
+        try:
+            est = trajectory_slope(traj, suite.V, window)
+        except WindowTooShort:
+            continue
+        if est.point >= alpha - tol:
+            wins += 1
+    return wins / len(replicas)
 
 
 @dataclass

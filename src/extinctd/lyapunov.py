@@ -10,7 +10,6 @@ interval after it, not before).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
@@ -367,12 +366,3 @@ def vanishing_ratio_report(H: Callable, Wprime: Callable,
                   for p in points]
         out.append((float(label), float(np.max(ratios))))
     return out
-
-
-def write_residuals_csv(path, rows):
-    """Export residual series rows (t, value, replica_id) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value", "replica_id"])
-        for t, value, rid in rows:
-            writer.writerow([f"{t:.17g}", f"{value:.17g}", int(rid)])

@@ -124,7 +124,7 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
     # the face {x_i = 0} is invariant for the chain itself, so the boundary
     # model is the same spec started on the face
     return ModelBundle(name="eco-discrete", model=model, suite=suite,
-                       boundary=model, species_H=species_H,
+                       boundary=model, boundary_H=H, species_H=species_H,
                        default_ic=StateVector(np.full(n_species, 0.5)),
                        boundary_ic=StateVector(np.zeros(n_species)),
                        params={})

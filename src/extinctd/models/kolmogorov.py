@@ -89,7 +89,7 @@ def make_kolmogorov(n_species: int, f, g, noise_matrix,
     # faces are invariant for the SDE itself: the boundary model is the same
     # spec started on the face of interest
     return ModelBundle(name="kolmogorov", model=model, suite=suite,
-                       boundary=model, species_H=species_H,
+                       boundary=model, boundary_H=H, species_H=species_H,
                        default_ic=StateVector(np.full(n_species, 0.5)),
                        boundary_ic=StateVector(np.zeros(n_species)),
                        params={})

@@ -47,6 +47,16 @@ class RngStream:
         return np.random.default_rng([int(self.seed), int(self.stream_id)])
 
 
+def replica_streams(ics, reps: int, seed: int) -> list:
+    """The replica rule: (k, ic, stream) for k = i*reps + r in increasing k.
+
+    Replica k starts from ``ics[k // reps]`` and draws from
+    ``RngStream(seed, k)``, so every estimate made from the same ics, reps
+    and seed sees the same paths.
+    """
+    return [(k, ics[k // reps], RngStream(seed, k)) for k in range(len(ics) * reps)]
+
+
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream or a numpy Generator and return a Generator."""
     if isinstance(rng, np.random.Generator):

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from extinctd.cli import (
@@ -12,6 +13,8 @@ from extinctd.cli import (
     run_experiment,
 )
 from extinctd.errors import MissingField, ParseError, UnknownKey, UnknownModel
+from extinctd.integrators import simulate
+from extinctd.process_core import RngStream, StateVector, make_bundle
 
 
 def sis_config(out, experiment="criterion", **extra):
@@ -111,6 +114,26 @@ def test_simulate_experiment_writes_trajectories(tmp_path):
     assert len(report["replicas"]) == 2
     header = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()[0]
     assert header == "replica_id,t,x_0,x_1,regime"
+
+
+def test_simulate_experiment_follows_the_replica_rule(tmp_path):
+    # replica k = i * replicas + r starts from ics[i] on RngStream(seed, k)
+    raw = sis_config(tmp_path / "out", experiment="simulate",
+                     sim={"dt": 0.001, "t_final": 2.0},
+                     ics=[[0.4, 0.5], [0.2, 0.7]])
+    cfg = config_from_dict(raw)
+    run_experiment(cfg)
+    data = np.loadtxt(tmp_path / "out" / "trajectories.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert sorted(set(data[:, 0])) == [0, 1, 2, 3]
+    bundle = make_bundle(cfg.model_name, cfg.model_params)
+    for rid, x0 in ((1, [0.4, 0.5]), (3, [0.2, 0.7])):
+        traj = simulate(bundle.model, StateVector(np.array(x0)),
+                        cfg.sim_config(), RngStream(raw["seed"], rid))
+        rows = data[data[:, 0] == rid]
+        np.testing.assert_array_equal(rows[:, 1], traj.times)
+        np.testing.assert_array_equal(rows[:, 2:4], traj.states)
+        np.testing.assert_array_equal(rows[:, 4], -1)
 
 
 def test_boundary_exponent_experiment(tmp_path):

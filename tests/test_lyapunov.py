@@ -286,16 +286,6 @@ def test_vanishing_ratio_trend():
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
-def test_write_residuals_csv(tmp_path):
-    from extinctd.lyapunov import write_residuals_csv
-
-    path = tmp_path / "res.csv"
-    write_residuals_csv(path, [(0.0, 1.5, 0), (0.5, -2.25, 0)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,value,replica_id"
-    assert lines[1].startswith("0,1.5,0")
-
-
 def test_strong_law_ou_decreasing():
     m = ou_model()
     cfg = SimConfig(dt=1e-2, t_final=200.0)
