@@ -19,6 +19,25 @@ from .process_core import ModelSpec, StateVector, Trajectory, replica_streams
 
 MIN_WINDOW_POINTS = 100
 
+_T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+         2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+         2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+         2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+         2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+         2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+         2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+         2.045229642132703, 2.0422724563012378)
+
+
+def t975(nu: int) -> float:
+    """0.975 quantile of Student's t with nu >= 1 degrees of freedom: tabulated
+    up to nu = 30, then the Cornish-Fisher series, whose error is below 2e-6."""
+    if nu <= len(_T975):
+        return _T975[nu - 1]
+    z = 1.959963984540054
+    return (z + (z**3 + z) / (4 * nu) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * nu**2)
+            + (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / (384 * nu**3))
+
 
 @dataclass(frozen=True)
 class ExponentEstimate:
@@ -47,7 +66,7 @@ def _estimate(values, horizon, method) -> ExponentEstimate:
     values = np.asarray(values, dtype=float)
     point = float(values.mean())
     if values.size > 1:
-        half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
+        half = t975(values.size - 1) * float(values.std(ddof=1)) / np.sqrt(values.size)
     else:
         half = 0.0
     return ExponentEstimate(point=point, ci_low=point - half, ci_high=point + half,

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from extinctd.errors import NonSquare, WindowTooShort
 from extinctd.exponents import (
     ExponentEstimate,
+    _estimate,
     boundary_exponent,
     extinction_fraction,
     linear_sde_exponent,
     robustness_scan,
     slope_experiment,
+    t975,
     trajectory_slope,
 )
 from extinctd.integrators import SimConfig, simulate
@@ -36,6 +38,18 @@ def test_estimate_invariants():
     d = ExponentEstimate(point=1.0, ci_low=0.5, ci_high=1.5, n_replicas=3,
                          horizon=2.0, method="boundary_average").to_dict()
     assert set(d) == {"method", "point", "ci_low", "ci_high", "n_replicas", "horizon"}
+    # Student-t half-width at n - 1 degrees of freedom; one replica has none
+    two = _estimate([0.0, 1.0], 1.0, "boundary_average")
+    assert two.point == 0.5
+    assert two.ci_high - two.point == pytest.approx(12.706204736174694 * 0.5, rel=1e-15)
+    one = _estimate([0.3], 1.0, "boundary_average")
+    assert one.ci_low == one.point == one.ci_high == 0.3
+
+
+def test_t975_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for nu in range(1, 201):
+        assert t975(nu) == pytest.approx(stats.t.ppf(0.975, nu), abs=2e-6), nu
 
 
 def test_slope_exact_exponential_decay():
