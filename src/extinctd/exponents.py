@@ -82,14 +82,19 @@ def boundary_exponent(boundary_model: ModelSpec, H: Callable,
     Simulates the boundary dynamics from each initial condition, takes the
     post-burn-in occupation average of H per replica, and returns the minimum
     over initial conditions of the replica means, with the confidence
-    interval from the replica spread at the argmin.
+    interval from the replica spread at the argmin.  A noise-free,
+    single-regime model is simulated once per initial condition and that
+    value stands for each of its replicas.
     """
     if not ics:
         raise ValueError("need at least one boundary initial condition")
     burn = cfg.t_final * 0.1 if burn_in is None else burn_in
+    replicas = replica_streams(ics, reps, seed)
+    if boundary_model.family == "sde" and boundary_model.noise_dim == 0:
+        replicas = replicas[::reps]  # every replica of an ic is the same path
     vals = [occupation_average(simulate(boundary_model, ic, cfg, rng), H, burn)
-            for _, ic, rng in replica_streams(ics, reps, seed)]
-    per_ic = np.asarray(vals).reshape(len(ics), reps)
+            for _, ic, rng in replicas]
+    per_ic = np.broadcast_to(np.reshape(vals, (len(ics), -1)), (len(ics), reps))
     means = [v.mean() for v in per_ic]
     argmin = int(np.argmin(means))
     est = _estimate(per_ic[argmin], cfg.t_final, "boundary_average")

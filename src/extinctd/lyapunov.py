@@ -19,6 +19,26 @@ from .errors import EmptyWindow, NonFiniteObservable
 from .process_core import ModelSpec, StateVector, Trajectory, as_generator
 
 
+class _ResolvedOnRead:
+    """Dataclass field holding a float, or a zero-argument callable that is
+    called on the first read and replaced by its value."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # no class-level default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = float(value())
+            obj.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class LyapunovSuite:
     """The functions V, H, GammaV, W, W', U, U' and constants attached to a model.
@@ -26,7 +46,8 @@ class LyapunovSuite:
     V blows up at the extinction set; H is the continuous extension of LV
     (never evaluated through V near the boundary); W, W' control tightness
     via LW <= K - W'; U, U' bound the quadratic variations via
-    LU <= K - U', GammaW <= K U', GammaV <= K U'.
+    LU <= K - U', GammaW <= K U', GammaV <= K U'.  ``K`` may be given as a
+    zero-argument callable, so a costly calibration runs only when K is read.
     """
 
     V: Callable
@@ -36,7 +57,7 @@ class LyapunovSuite:
     Wprime: Callable
     U: Callable
     Uprime: Callable
-    K: float
+    K: float = _ResolvedOnRead()
     alpha_candidate: Optional[float] = None
 
 

@@ -81,7 +81,7 @@ def power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
     Uses the fractional powers W = Ubar^(1/4), U = Ubar^(1/2) and the scale
     function phi = max(2 - L Ubar / Ubar + Gamma Ubar / Ubar^2, 1), so the
     quadratic variations of W and V are dominated by U'; K is calibrated on
-    the supplied sample.
+    the supplied sample when it is first read.
     """
 
     def phi(x, s=None):
@@ -99,8 +99,10 @@ def power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
     def Wprime(x, s=None):
         return np.maximum(0.5 * s_u * W(x, s) * phi(x, s), 1.0)
 
-    k = calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime,
-                                 calib_points)
+    def k():
+        return calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime,
+                                        calib_points)
+
     return LyapunovSuite(V=V, H=H, gammaV=gammaV, W=W, Wprime=Wprime,
                          U=U, Uprime=Uprime, K=k, alpha_candidate=alpha_candidate)
 

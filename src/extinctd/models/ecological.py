@@ -26,6 +26,21 @@ def _draw_bank(noise_sampler, inner_mc, antithetic, seed):
     return draws
 
 
+def _per_row(fn, x):
+    """``fn`` at one state ``(dim,)``, or at each row of a batch ``(n, dim)``.
+
+    A batch is evaluated once per distinct row and the values are scattered
+    back; rows are the same only when their bits are, so 0.0 and -0.0 differ.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return float(fn(x))
+    x = np.ascontiguousarray(x)
+    _, first, inverse = np.unique(x.view(np.uint64), axis=0,
+                                  return_index=True, return_inverse=True)
+    return np.asarray([fn(x[k]) for k in first], dtype=float)[inverse.reshape(-1)]
+
+
 def make_ecological_discrete(n_species: int, F, noise_sampler,
                              Upsilon=None, rho_bar: float = 0.5,
                              weights=None, inner_mc: int = 10_000,
@@ -69,31 +84,21 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
 
     def species_H(i: int):
         def H_i(x, s=None):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                return float(H_components(x)[i])
-            return np.asarray([H_components(row)[i] for row in x])
+            return _per_row(lambda row: H_components(row)[i], x)
         return H_i
 
     def V(x, s=None):
         return -np.sum(weights * np.log(np.asarray(x, dtype=float)), axis=-1)
 
     def H(x, s=None):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(weights @ H_components(x))
-        return np.asarray([float(weights @ H_components(row)) for row in x])
+        return _per_row(lambda row: weights @ H_components(row), x)
 
     def gammaV(x, s=None):
-        x = np.asarray(x, dtype=float)
-
         def one(row):
             dv = -log_F_batch(row, bank) @ weights
-            return float(np.mean(dv * dv))
+            return np.mean(dv * dv)
 
-        if x.ndim == 1:
-            return one(x)
-        return np.asarray([one(row) for row in x])
+        return _per_row(one, x)
 
     if Upsilon is None:
         def Upsilon(x, s=None):
@@ -116,7 +121,14 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
     gen = np.random.default_rng(h_seed + 1)
     calib = [StateVector(gen.uniform(0.05, 2.0, size=n_species))
              for _ in range(12)]
-    k = calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime, calib)
+    # reject a nonpositive F now: one chain step from each calibration point
+    probe = np.random.default_rng(h_seed + 2)
+    for p in calib:
+        step_map(p.x, noise_sampler(probe))
+
+    def k():
+        return calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime, calib)
+
     suite = LyapunovSuite(V=V, H=H, gammaV=gammaV, W=W, Wprime=Wprime,
                           U=U, Uprime=Uprime, K=k,
                           alpha_candidate=alpha_candidate)

@@ -91,7 +91,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         drift=drift, diffusion_diag=diffusion_diag,
         switch_rates=(lambda x: q_mat) if switching else None,
         n_regimes=m,
-        domain_projection=lambda x, s=None: np.clip(x, 0.0, 1.0),
+        domain_projection=lambda x, s=None: np.minimum(1.0, np.maximum(0.0, x)),
         extinction_distance=lambda x, s=None: _norm(x),
         name="sis",
     )
@@ -157,7 +157,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         return np.vstack([mat, r * vpsi])
 
     def bl_project(u, s=None):
-        v = np.clip(u[:n_nodes], 0.0, None)
+        v = np.maximum(u[:n_nodes], 0.0)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             v = np.full(n_nodes, 1.0 / np.sqrt(n_nodes))
@@ -182,7 +182,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         return beta[k] * (b - float(v @ b) * v)
 
     def sp_project(v, s=None):
-        v = np.clip(v, 0.0, None)
+        v = np.maximum(v, 0.0)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return np.full(n_nodes, 1.0 / np.sqrt(n_nodes))

@@ -123,6 +123,32 @@ def test_boundary_exponent_reorder_invariance(sis_k2):
     assert a.point == b.point  # deterministic boundary: exact invariance
 
 
+def test_boundary_exponent_runs_a_deterministic_path_once_per_ic(sis_k2, sis_switching,
+                                                                 monkeypatch):
+    import extinctd.exponents as exponents
+
+    cfg = SimConfig(dt=1e-2, t_final=20.0)
+    sims = []
+
+    def counted(model, ic, cfg, rng):
+        sims.append(rng.stream_id)
+        return simulate(model, ic, cfg, rng)
+
+    monkeypatch.setattr(exponents, "simulate", counted)
+    ics = [StateVector(np.array([1.0, 0.0])), StateVector(np.array([0.6, 0.8]))]
+    est = boundary_exponent(sis_k2.boundary, sis_k2.boundary_H, ics, cfg, 3, seed=0)
+    assert sims == [0, 3]
+    assert est.n_replicas == 3 and est.ci_low == est.point == est.ci_high
+    assert est.point == min(boundary_exponent(sis_k2.boundary, sis_k2.boundary_H,
+                                              [ic], cfg, 1, seed=0).point for ic in ics)
+    # a switching boundary draws regime jumps, so every replica runs
+    sims.clear()
+    sw_ics = [StateVector(np.array([0.6, 0.8]), 0)]
+    boundary_exponent(sis_switching.boundary, sis_switching.boundary_H, sw_ics, cfg,
+                      3, seed=0)
+    assert sims == [0, 1, 2]
+
+
 def test_extinction_fraction_deterministic_contraction():
     m = ModelSpec(family="sde", dim=1, noise_dim=0, drift=lambda x, s: -0.5 * x,
                   extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))

@@ -66,6 +66,31 @@ def test_sis_constructor_validation():
         make_sis([[0, 1], [1, 0]], beta=[0.3, 0.4], delta=[1.0, 1.0])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+def test_sis_projections_match_clip_bit_for_bit(sis_k2):
+    # the projections use np.maximum / np.minimum in the argument order that
+    # reproduces np.clip on -0.0, NaN and infinities
+    vals = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 0.5, 2.0])
+    assert _bits(sis_k2.model.domain_projection(vals)) == _bits(np.clip(vals, 0.0, 1.0))
+
+    def clip_sphere(v):
+        v = np.clip(v, 0.0, None)
+        nv = np.linalg.norm(v)
+        return np.full(2, 1.0 / np.sqrt(2.0)) if nv == 0.0 else v / nv
+
+    with np.errstate(invalid="ignore"):
+        for a in vals:
+            for c in vals:
+                v = np.array([a, c])
+                assert _bits(sis_k2.boundary.domain_projection(v)) == _bits(clip_sphere(v))
+                u = np.array([a, c, 0.5])
+                assert _bits(sis_k2.blowup.domain_projection(u)) == \
+                    _bits(np.append(clip_sphere(v), 0.5))
+
+
 # -- Lorenz -------------------------------------------------------------------
 
 def test_lorenz_axis_invariant(lorenz_noisy):
@@ -193,6 +218,32 @@ def test_ricker_invasion_equals_minus_r(ricker_extinct):
     assert ricker_extinct.species_H(0)(np.zeros(1)) == pytest.approx(0.3, abs=1e-12)
 
 
+def test_eco_observables_per_distinct_row_match_the_row_loop():
+    # F depends on the sign of a zero coordinate, so merging 0.0 with -0.0
+    # would change H; each batch must equal its own per-row evaluation
+    calls = []
+
+    def log_F_batch(x, bank):
+        calls.append(1)
+        return np.copysign(0.1, x)[None, :] - x[None, :] + 0.2 * bank[:, None]
+
+    def F(x, xi):
+        return np.exp(log_F_batch(np.asarray(x, dtype=float), np.array([xi]))[0])
+
+    b = make_ecological_discrete(2, F, lambda gen: float(gen.standard_normal()),
+                                 inner_mc=64, log_F_batch=log_F_batch)
+    rows = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.5, 0.0],
+                     [0.5, -0.0], [0.3, 0.3], [-0.0, 0.5], [0.3, 0.3]])
+    for g in (b.suite.H, b.species_H(0), b.species_H(1), b.suite.gammaV):
+        want = [g(row) for row in rows]
+        calls.clear()
+        got = g(rows)
+        assert len(calls) == 5  # distinct rows
+        assert got.shape == (len(rows),)
+        assert _bits(got) == _bits(want)
+    assert b.suite.H(rows[0]) != b.suite.H(rows[1])
+
+
 # -- Kolmogorov ----------------------------------------------------------------
 
 def test_kolmogorov_face_invariance():
@@ -315,3 +366,31 @@ def test_suite_diagnostics_eco_and_kolmogorov(ricker_extinct):
     pts2 = [StateVector(gen.uniform(0.05, 3.0, 1)) for _ in range(25)]
     rep2 = suite_diagnostics(b.model, b.suite, pts2)
     assert rep2.passed, rep2.violations
+
+
+# -- suite constant --------------------------------------------------------------
+
+@pytest.mark.parametrize("name, params, k", [
+    ("lorenz", {}, 1.8),
+    ("linear", {"A": [[-1.0, 0.0], [0.0, -3.0]]}, 1.8),
+    ("kolmogorov", {"r": 0.1, "sigma": 0.8}, 8.810566423432203),
+    ("eco-discrete", {"r": -0.3, "sigma": 0.2}, 5.32064134739505),
+])
+def test_suite_constant_is_calibrated_on_first_read(monkeypatch, name, params, k):
+    from extinctd.models import base, ecological
+    from extinctd.process_core import make_bundle
+
+    calls = []
+    calibrate = base.calibrate_suite_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(base, "calibrate_suite_constant", counted)
+    monkeypatch.setattr(ecological, "calibrate_suite_constant", counted)
+    bundle = make_bundle(name, params)
+    assert calls == []
+    assert bundle.suite.K == k
+    assert bundle.suite.K == k
+    assert calls == [1]
