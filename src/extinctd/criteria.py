@@ -24,7 +24,7 @@ from .errors import (
     Reducible,
     SingularSolve,
 )
-from .process_core import StateVector, replica_streams, validate_rate_matrix
+from .process_core import replica_streams, validate_rate_matrix
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -164,20 +164,19 @@ def lorenz_lambda0(z_star: float) -> float:
 
 def lorenz_lambda_mc(gamma: float, z_star: float, eta: float, alpha0: float,
                      cfg, reps: int, seed: int = 0,
-                     burn_in: Optional[float] = None,
-                     theta0: float = 0.9):
+                     burn_in: Optional[float] = None):
     """Monte Carlo lambda for the stochastic Lorenz cylinder dynamics.
 
-    Simulates (theta, z) with R frozen at zero and returns minus the
-    occupation average of 1 - (z/2) sin(2 theta) as an ExponentEstimate;
-    a negative value certifies extinction (convergence to the z-axis).
+    Simulates the boundary (theta, z) of ``make_lorenz`` with R frozen at
+    zero from its ``boundary_ic`` and returns minus the occupation average
+    of 1 - (z/2) sin(2 theta) as an ExponentEstimate; a negative value
+    certifies extinction (convergence to the z-axis).
     """
     from .exponents import ExponentEstimate, boundary_exponent
-    from .models.lorenz import lorenz_cylinder
+    from .models.lorenz import make_lorenz
 
-    model, h_boundary = lorenz_cylinder(gamma, z_star, eta, alpha0)
-    ics = [StateVector(np.array([theta0, z_star]))]
-    est = boundary_exponent(model, h_boundary, ics, cfg, reps,
+    b = make_lorenz(gamma, z_star, eta, alpha0)
+    est = boundary_exponent(b.boundary, b.boundary_H, [b.boundary_ic], cfg, reps,
                             seed=seed, burn_in=burn_in)
     return ExponentEstimate(point=-est.point, ci_low=-est.ci_high,
                             ci_high=-est.ci_low, n_replicas=est.n_replicas,

@@ -41,9 +41,13 @@ class SimConfig:
             raise ValueError("max_rate_bound must be positive when given")
 
 
-def _check_finite(x: np.ndarray):
+def _check_finite(x: np.ndarray, step: Optional[int] = None, t: Optional[float] = None):
+    """Raise NonFiniteState if x holds a NaN or an infinity.  In a simulated
+    path, ``step`` is the 0-based index of the step that produced x and ``t``
+    its time; the message is built only on failure."""
     if not math.isfinite(float(x.sum())):
-        raise NonFiniteState(f"non-finite state encountered: {x}")
+        where = "" if step is None else f" at step {step}, t = {t!r}"
+        raise NonFiniteState(f"non-finite state{where}: {x}")
 
 
 def _advance(model: ModelSpec, x, s, h, z):
@@ -241,13 +245,13 @@ def _simulate_diffusion(model, x0: StateVector, cfg: SimConfig, gen) -> Trajecto
                     t_cur = tau
                     z_cur = gen.standard_normal(nd) if nd > 0 else None
                 x = _advance(model, x, s, t1 - t_cur, z_cur)
-                _check_finite(x)
+                _check_finite(x, k, t1)
                 rec.push(t1, x, s, jump=pending)
                 if floor_active and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
                     break
                 continue
         x = _advance(model, x, s, dt, z)
-        _check_finite(x)
+        _check_finite(x, k, t1)
         rec.push(t1, x, s)
         if floor_active and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
             break
@@ -263,7 +267,7 @@ def _simulate_chain(model, x0: StateVector, cfg: SimConfig, gen) -> Trajectory:
     for k in range(n_steps):
         xi = model.noise_sampler(gen)
         x = model.domain_projection(np.asarray(model.step_map(x, xi), dtype=float), None)
-        _check_finite(x)
+        _check_finite(x, k, float(k + 1))
         rec.push(float(k + 1), x, None)
         if floor_active and float(model.extinction_distance(x, None)) < cfg.floor_epsilon:
             break

@@ -9,14 +9,14 @@ from .base import ModelBundle, QuadrupleMap
 from .ecological import eco_drift_check, make_ecological_discrete, make_ricker
 from .kolmogorov import make_kolmogorov, make_logistic
 from .linear import make_linear_sde
-from .lorenz import lorenz_cylinder, lorenz_params_from_classic, make_lorenz
+from .lorenz import lorenz_params_from_classic, make_lorenz
 from .sis import make_sis
 
 __all__ = [
     "ModelBundle", "QuadrupleMap",
     "make_sis", "make_lorenz", "make_ecological_discrete", "make_ricker",
     "make_kolmogorov", "make_logistic", "make_linear_sde",
-    "lorenz_cylinder", "lorenz_params_from_classic", "eco_drift_check",
+    "lorenz_params_from_classic", "eco_drift_check",
 ]
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -107,21 +107,141 @@ def power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
                          U=U, Uprime=Uprime, K=k, alpha_candidate=alpha_candidate)
 
 
-def batched(fn):
-    """Wrap a batch-only observable so it also accepts single states.
+class PolarFamily(NamedTuple):
+    """V, H and Gamma V of a model with the origin as extinction set, plus
+    the bundle companions of its polar blow-up x = r v."""
 
-    ``fn`` sees x with shape (n, dim) and s as an (n,) int array or None.
+    V: Callable
+    H: Callable
+    gammaV: Callable
+    blowup: ModelSpec
+    boundary: ModelSpec
+    boundary_H: Callable
+    quad_map: QuadrupleMap
+
+
+def _dot(a, b):
+    """Inner product over the last axis of one vector or a batch of them."""
+    return a @ b if a.ndim == 1 else np.sum(a * b, axis=-1)
+
+
+def _norm(x):
+    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+
+
+def polar_blowup(model: ModelSpec, phi: Callable, psi: Callable,
+                 nonneg: bool = False, quiet_boundary: bool = False) -> PolarFamily:
+    """Derive V = -log|x|, H, Gamma V and the polar companions of ``model``.
+
+    ``phi(v, r, s)`` and ``psi(v, r, s)`` are the unit coefficients, defined
+    by F(r v) = r phi and G(r v) = r psi with psi an (n, noise_dim) matrix,
+    or its diagonal (shape (..., n)) when ``model`` has ``diffusion_diag``.
+    They take v of shape (..., n), r as a float or of shape (..., 1), and s
+    as None, an int or an int array.  Ito's formula for r = |x|, v = x / r:
+
+        dr = r mu_r dt + r v'psi dW,   mu_r = v.phi + (|psi|_F^2 - |psi'v|^2) / 2
+        dv = [(I - vv')(phi - psi psi'v) - v (|psi|_F^2 - |psi'v|^2) / 2] dt
+             + (I - vv') psi dW
+
+    so LV = H = -(mu_r - |psi'v|^2 / 2) and Gamma V = |psi'v|^2 extend
+    continuously to r = 0.  The boundary model is the v equation at r = 0;
+    ``quiet_boundary`` declares psi(v, 0, s) = 0, which makes it noise-free.
+    ``nonneg`` keeps v on the nonnegative part of the sphere.
     """
+    n, d = model.dim, model.noise_dim
+    noisy_boundary = d > 0 and not quiet_boundary
+    diag = model.diffusion_diag is not None
 
-    def wrapper(x, s=None):
+    def noise(v, r, s):
+        g = psi(v, r, s)
+        return g, g * v if diag else np.matmul(v[..., None, :], g)[..., 0, :]  # psi, psi'v
+
+    def ito(v, r, s, noisy):
+        """phi - psi psi'v, mu_r and |psi'v|^2 at (v, r); psi counts as zero
+        unless ``noisy``.  Since v.(phi - psi psi'v) = v.phi - |psi'v|^2, the
+        v drift is (phi - psi psi'v) - (mu_r - |psi'v|^2) v."""
+        f = phi(v, r, s)
+        if not noisy:
+            return f, _dot(v, f), 0.0
+        g, w = noise(v, r, s)
+        ww = _dot(w, w)
+        mu_r = _dot(v, f) + 0.5 * (np.sum(g * g, axis=-1 if diag else (-2, -1)) - ww)
+        return f - (g * w if diag else np.matmul(g, w[..., None])[..., 0]), mu_r, ww
+
+    def sphere_drift(v, r, s, noisy):
+        a, mu_r, ww = ito(v, r, s, noisy)
+        return a - (mu_r - ww) * v, mu_r
+
+    def sphere_noise(v, r, s):
+        g, w = noise(v, r, s)
+        return (np.diag(g) if diag else g) - np.outer(v, w), w  # (I - vv') psi, psi'v
+
+    def H_at(v, r, s, noisy):
+        _, mu_r, ww = ito(v, r, s, noisy)
+        return -(mu_r - 0.5 * ww)
+
+    def polar(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            sb = None if s is None else np.asarray([s], dtype=int)
-            return float(np.asarray(fn(x[None, :], sb))[0])
-        sb = None if s is None else np.asarray(s, dtype=int)
-        return fn(x, sb)
+        r = _norm(x)[..., None]
+        return x / r, r
 
-    return wrapper
+    def V(x, s=None):
+        return -0.5 * np.log(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+
+    def H(x, s=None):
+        v, r = polar(x)
+        return H_at(v, r, s, d > 0)
+
+    def gammaV(x, s=None):
+        w = noise(*polar(x), s)[1]
+        return _dot(w, w)
+
+    def unit(v, s=None):
+        if nonneg:
+            v = np.maximum(v, 0.0)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            return np.full(n, 1.0 / np.sqrt(n))
+        return v / nv
+
+    def bl_drift(u, s=None):
+        v, r = u[:n], u[n]
+        dv, mu_r = sphere_drift(v, r, s, d > 0)
+        return np.concatenate([dv, [r * mu_r]])
+
+    def bl_diffusion(u, s=None):
+        v, r = u[:n], u[n]
+        mat, w = sphere_noise(v, r, s)
+        return np.vstack([mat, r * w])
+
+    regimes = dict(family=model.family, switch_rates=model.switch_rates,
+                   n_regimes=model.n_regimes)
+    blowup = ModelSpec(
+        dim=n + 1, noise_dim=d, drift=bl_drift,
+        diffusion=bl_diffusion if d > 0 else None,
+        domain_projection=lambda u, s=None: np.concatenate([unit(u[:n]), [max(u[n], 0.0)]]),
+        extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., n]),
+        name=f"{model.name}-polar", **regimes,
+    )
+    boundary = ModelSpec(
+        dim=n, noise_dim=d if noisy_boundary else 0,
+        drift=lambda v, s=None: sphere_drift(v, 0.0, s, noisy_boundary)[0],
+        diffusion=(lambda v, s=None: sphere_noise(v, 0.0, s)[0]) if noisy_boundary else None,
+        domain_projection=unit,
+        extinction_distance=lambda v, s=None: np.zeros(np.shape(v)[:-1]),
+        name=f"{model.name}-sphere", **regimes,
+    )
+
+    def boundary_H(v, s=None):
+        return H_at(np.asarray(v, dtype=float), 0.0, s, noisy_boundary)
+
+    quad = QuadrupleMap(
+        forward=lambda u: np.asarray(u)[..., :n] * np.asarray(u)[..., n:],
+        inverse=lambda x: np.concatenate(polar(x), axis=-1),
+        boundary_preimage=("nonnegative " if nonneg else "") + "unit sphere x {r = 0}"
+                          + (" x regimes" if model.n_regimes > 1 else ""),
+    )
+    return PolarFamily(V, H, gammaV, blowup, boundary, boundary_H, quad)
 
 
 def ball_sample(dim: int, radius: float, count: int, seed: int = 777,

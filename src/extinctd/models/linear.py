@@ -8,11 +8,7 @@ import numpy as np
 
 from ..errors import NonSquare
 from ..process_core import ModelSpec, StateVector
-from .base import ModelBundle, QuadrupleMap, ball_sample, power_suite
-
-
-def _norm(x):
-    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+from .base import ModelBundle, _norm, ball_sample, polar_blowup, power_suite
 
 
 def make_linear_sde(A, Sigma=None) -> ModelBundle:
@@ -45,24 +41,9 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
         name="linear",
     )
 
-    def V(x, s=None):
-        return -0.5 * np.log(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
-
-    def _eta(v):
-        return np.sum(v * (v @ Sigma.T), axis=-1)
-
-    def H(x, s=None):
-        x = np.asarray(x, dtype=float)
-        v = x / _norm(x)[..., None]
-        sv = v @ Sigma.T
-        eta = np.sum(v * sv, axis=-1)
-        return (-np.sum(v * (v @ A.T), axis=-1)
-                - 0.5 * np.sum(sv * sv, axis=-1) + eta ** 2)
-
-    def gammaV(x, s=None):
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum(x * x, axis=-1)
-        return (np.sum(x * (x @ Sigma.T), axis=-1)) ** 2 / r2 ** 2
+    # unit coefficients: F(r v) = r A v and G(r v) = r Sigma v
+    polar = polar_blowup(model, lambda v, r, s=None: v @ A.T,
+                         lambda v, r, s=None: (v @ Sigma.T)[..., None])
 
     # master function (1 + |x|^2)^(1/2) for the tightness suite
     def ubar(x, s=None):
@@ -86,78 +67,13 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
         alpha = float(-np.max(np.linalg.eigvals(A).real))
     elif n == 1:
         alpha = float(-A[0, 0] + 0.5 * Sigma[0, 0] ** 2)
-    suite = power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
-                        ball_sample(n, 6.0, 48), alpha_candidate=alpha)
-
-    # polar blow-up: state (v, r) with x = r v
-    def _split(u):
-        return u[:n], u[n]
-
-    def bl_drift(u, s=None):
-        v, r = _split(u)
-        av = A @ v
-        sv = Sigma @ v
-        g = float(v @ av) + 0.5 * (float(sv @ sv) - float(v @ sv) ** 2)
-        eta = float(v @ sv)
-        dv = av - g * v + eta * eta * v - eta * sv
-        return np.concatenate([dv, [r * g]])
-
-    def bl_diffusion(u, s=None):
-        v, r = _split(u)
-        sv = Sigma @ v
-        eta = float(v @ sv)
-        return np.concatenate([sv - eta * v, [r * eta]])[:, None]
-
-    def bl_project(u, s=None):
-        v, r = _split(u)
-        v = v / np.linalg.norm(v)
-        return np.concatenate([v, [max(r, 0.0)]])
-
-    blowup = ModelSpec(
-        family="sde", dim=n + 1, noise_dim=1 if noisy else 0,
-        drift=bl_drift, diffusion=bl_diffusion if noisy else None,
-        domain_projection=bl_project,
-        extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., n]),
-        name="linear-polar",
-    )
-
-    def sp_drift(v, s=None):
-        av = A @ v
-        sv = Sigma @ v
-        g = float(v @ av) + 0.5 * (float(sv @ sv) - float(v @ sv) ** 2)
-        eta = float(v @ sv)
-        return av - g * v + eta * eta * v - eta * sv
-
-    def sp_diffusion(v, s=None):
-        sv = Sigma @ v
-        return (sv - float(v @ sv) * v)[:, None]
-
-    boundary = ModelSpec(
-        family="sde", dim=n, noise_dim=1 if noisy else 0,
-        drift=sp_drift, diffusion=sp_diffusion if noisy else None,
-        domain_projection=lambda v, s=None: v / np.linalg.norm(v),
-        extinction_distance=lambda v, s=None: np.zeros(np.shape(v)[:-1]),
-        name="linear-sphere",
-    )
-
-    def boundary_H(v, s=None):
-        v = np.asarray(v, dtype=float)
-        sv = v @ Sigma.T
-        eta = np.sum(v * sv, axis=-1)
-        return (-np.sum(v * (v @ A.T), axis=-1)
-                - 0.5 * np.sum(sv * sv, axis=-1) + eta ** 2)
-
-    quad = QuadrupleMap(
-        forward=lambda u: np.asarray(u)[..., :n] * np.asarray(u)[..., n:],
-        inverse=lambda x: np.concatenate(
-            [np.asarray(x) / _norm(x)[..., None], _norm(x)[..., None]], axis=-1),
-        boundary_preimage="unit sphere x {r = 0}",
-    )
+    suite = power_suite(model, polar.V, polar.H, polar.gammaV, ubar, lu_over_u,
+                        gu_over_u2, ball_sample(n, 6.0, 48), alpha_candidate=alpha)
 
     ic = np.full(n, 1.0 / np.sqrt(n))
     return ModelBundle(name="linear", model=model, suite=suite,
-                       boundary=boundary, boundary_H=boundary_H,
-                       blowup=blowup, quad_map=quad,
+                       boundary=polar.boundary, boundary_H=polar.boundary_H,
+                       blowup=polar.blowup, quad_map=polar.quad_map,
                        default_ic=StateVector(ic),
                        boundary_ic=StateVector(ic),
                        params={"A": A.tolist(), "Sigma": Sigma.tolist()})

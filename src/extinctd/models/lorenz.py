@@ -23,35 +23,6 @@ from ..process_core import ModelSpec, StateVector
 from .base import ModelBundle, QuadrupleMap, ball_sample, power_suite
 
 
-def lorenz_cylinder(gamma: float, z_star: float, eta: float, alpha0: float):
-    """Boundary model on the (theta, z) cylinder (R frozen at zero).
-
-    Returns (ModelSpec, H) with H(theta, z) = 1 - (z/2) sin(2 theta); the
-    occupation average of H estimates minus the extinction exponent lambda.
-    """
-    if alpha0 < 0:
-        raise NegativeParameter("alpha0 must be nonnegative")
-
-    def drift(u, s=None):
-        th, z = u
-        return np.array([1.0 - z * math.sin(th) ** 2, -gamma * (z - z_star)])
-
-    noise_col = np.array([[0.0], [alpha0]])
-    noisy = alpha0 > 0.0
-    model = ModelSpec(
-        family="sde", dim=2, noise_dim=1 if noisy else 0,
-        drift=drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
-        extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
-        name="lorenz-cylinder",
-    )
-
-    def H(u, s=None):
-        u = np.asarray(u, dtype=float)
-        return 1.0 - 0.5 * u[..., 1] * np.sin(2.0 * u[..., 0])
-
-    return model, H
-
-
 def make_lorenz(gamma: float, z_star: float, eta: float,
                 alpha0: float) -> ModelBundle:
     """Lorenz bundle: 3-d SDE, exp-quadratic suite, cylinder companions."""
@@ -145,7 +116,23 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
         name="lorenz-blowup",
     )
 
-    boundary, boundary_H = lorenz_cylinder(gamma, z_star, eta, alpha0)
+    # boundary: the (theta, z) cylinder with R frozen at zero, where
+    # H(theta, z) = 1 - (z/2) sin(2 theta) and its occupation average is -lambda
+    def cyl_drift(u, s=None):
+        th, z = u
+        return np.array([1.0 - z * math.sin(th) ** 2, -gamma * (z - z_star)])
+
+    cyl_noise = np.array([[0.0], [alpha0]])
+    boundary = ModelSpec(
+        family="sde", dim=2, noise_dim=1 if noisy else 0,
+        drift=cyl_drift, diffusion=(lambda u, s=None: cyl_noise) if noisy else None,
+        extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
+        name="lorenz-cylinder",
+    )
+
+    def boundary_H(u, s=None):
+        u = np.asarray(u, dtype=float)
+        return 1.0 - 0.5 * u[..., 1] * np.sin(2.0 * u[..., 0])
 
     def forward(u):
         u = np.asarray(u, dtype=float)

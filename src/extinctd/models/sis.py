@@ -15,11 +15,7 @@ from ..criteria import CtmcGenerator, ctmc_stationary, sis_extinction_index, top
 from ..errors import InvalidAdjacency, NegativeRate
 from ..lyapunov import constant_suite
 from ..process_core import ModelSpec, StateVector, validate_rate_matrix
-from .base import ModelBundle, QuadrupleMap, batched
-
-
-def _norm(x):
-    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+from .base import ModelBundle, _norm, polar_blowup
 
 
 def _as_regime_array(value, m, name):
@@ -96,128 +92,46 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         name="sis",
     )
 
-    def V(x, s=None):
-        return -0.5 * np.log(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+    # unit coefficients at x = r v; psi is diagonal, like diffusion_diag
+    def _regime(v, s):
+        """A(s) v, beta(s) and delta(s), shaped to broadcast against v."""
+        k = _idx(s)
+        if isinstance(k, np.ndarray):
+            b = np.empty_like(v)
+            for j in range(m):  # per regime, so no (n, N, N) stack of A(s)
+                b[k == j] = v[k == j] @ adj[j]
+            return b, beta[k][:, None], delta[k][:, None]
+        return v @ adj[k], beta[k], delta[k]  # A(s) is symmetric: v A(s) = A(s) v
 
-    def _per_sample(x, s):
-        # regime-indexed parameters broadcast over a sample batch (n, N)
-        k = np.zeros(x.shape[0], dtype=int) if s is None else s
-        b = np.einsum("nij,nj->ni", adj[k], x)
-        return b, beta[k], delta[k]
+    def phi(v, r, s=None):
+        b, bet, dlt = _regime(v, s)
+        return bet * b * (1.0 - r * v) - dlt * v
 
-    @batched
-    def H(x, s=None):
-        b, bet, del_ = _per_sample(x, s)
-        r2 = np.sum(x * x, axis=-1)
-        sig = sigma(x, s) * b * (1.0 - x)
-        diag_term = 0.5 * np.sum(sig * sig * (-r2[:, None] + 2 * x * x), axis=-1) / r2 ** 2
-        drift_term = -np.sum(bet[:, None] * b * (1.0 - x) * x, axis=-1) / r2
-        return del_ + diag_term + drift_term
+    def psi(v, r, s=None):
+        b = _regime(v, s)[0]
+        return sigma(r * v, _idx(s)) * b * (1.0 - r * v)
 
-    @batched
-    def gammaV(x, s=None):
-        b, _, _ = _per_sample(x, s)
-        r2 = np.sum(x * x, axis=-1)
-        sig = sigma(x, s) * b * (1.0 - x)
-        return np.sum(sig * sig * x * x, axis=-1) / r2 ** 2
+    # sigma_i(0, s) = 0 (checked above), so the sphere flow is noise-free
+    polar = polar_blowup(model, phi, psi, nonneg=True, quiet_boundary=True)
 
-    # compact state space: constants-one suite, K = 1 + sup Gamma V (sampled)
-    gen = np.random.default_rng(2024)
-    samples = gen.uniform(0.01, 1.0, size=(256, n_nodes))
-    gv_max = max(float(np.max(gammaV(samples, np.full(256, s, dtype=int)))) for s in range(m))
+    def k_const():
+        # compact state space: constants-one suite, K = 1 + sup Gamma V (sampled)
+        samples = np.random.default_rng(2024).uniform(0.01, 1.0, size=(256, n_nodes))
+        return 1.0 + 1.5 * max(float(np.max(polar.gammaV(samples, np.full(256, s, dtype=int))))
+                               for s in range(m))
+
     lam1 = np.array([top_eigenvalue(adj[s])[0] for s in range(m)])
     rho = ctmc_stationary(CtmcGenerator(q_mat)) if switching else np.ones(1)
     alpha = sis_extinction_index(delta, beta, lam1, rho)
-    suite = constant_suite(V, H, gammaV, K=1.0 + 1.5 * gv_max,
+    suite = constant_suite(polar.V, polar.H, polar.gammaV, K=k_const,
                            alpha_candidate=alpha if alpha > 0 else None)
-
-    # blow-up (v, r) with x = r v; per-node unit coefficients at state (v, r)
-    def _unit_coeffs(v, r, k):
-        b = adj[k] @ v
-        one_minus = 1.0 - r * v
-        phi = beta[k] * b * one_minus - delta[k] * v
-        psi = sigma(r * v, k) * b * one_minus
-        return phi, psi
-
-    def bl_drift(u, s=None):
-        k = _idx(s)
-        v, r = u[:n_nodes], u[n_nodes]
-        phi, psi = _unit_coeffs(v, r, k)
-        psi2 = psi * psi
-        mu_r = float(v @ phi) + 0.5 * float((1.0 - v * v) @ psi2)
-        dv = v * (-mu_r + float((v * v) @ psi2)) + phi - psi2 * v
-        return np.concatenate([dv, [r * mu_r]])
-
-    def bl_diffusion(u, s=None):
-        k = _idx(s)
-        v, r = u[:n_nodes], u[n_nodes]
-        _, psi = _unit_coeffs(v, r, k)
-        vpsi = v * psi
-        mat = np.diag(psi) - np.outer(v, vpsi)
-        return np.vstack([mat, r * vpsi])
-
-    def bl_project(u, s=None):
-        v = np.maximum(u[:n_nodes], 0.0)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            v = np.full(n_nodes, 1.0 / np.sqrt(n_nodes))
-            nv = 1.0
-        return np.concatenate([v / nv, [max(u[n_nodes], 0.0)]])
-
-    blowup = ModelSpec(
-        family="switching_diffusion" if switching else "sde",
-        dim=n_nodes + 1, noise_dim=n_nodes,
-        drift=bl_drift, diffusion=bl_diffusion,
-        switch_rates=(lambda x: q_mat) if switching else None,
-        n_regimes=m,
-        domain_projection=bl_project,
-        extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., n_nodes]),
-        name="sis-polar",
-    )
-
-    # boundary sphere dynamics (r = 0): deterministic projective flow
-    def sp_drift(v, s=None):
-        k = _idx(s)
-        b = adj[k] @ v
-        return beta[k] * (b - float(v @ b) * v)
-
-    def sp_project(v, s=None):
-        v = np.maximum(v, 0.0)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.full(n_nodes, 1.0 / np.sqrt(n_nodes))
-        return v / nv
-
-    boundary = ModelSpec(
-        family="switching_diffusion" if switching else "sde",
-        dim=n_nodes, noise_dim=0,
-        drift=sp_drift,
-        switch_rates=(lambda x: q_mat) if switching else None,
-        n_regimes=m,
-        domain_projection=sp_project,
-        extinction_distance=lambda v, s=None: np.zeros(np.shape(v)[:-1]),
-        name="sis-sphere",
-    )
-
-    @batched
-    def boundary_H(v, s=None):
-        k = np.zeros(v.shape[0], dtype=int) if s is None else s
-        b = np.einsum("nij,nj->ni", adj[k], v)
-        return delta[k] - beta[k] * np.sum(v * b, axis=-1)
-
-    quad = QuadrupleMap(
-        forward=lambda u: np.asarray(u)[..., :n_nodes] * np.asarray(u)[..., n_nodes:],
-        inverse=lambda x: np.concatenate(
-            [np.asarray(x) / _norm(x)[..., None], _norm(x)[..., None]], axis=-1),
-        boundary_preimage="nonnegative unit sphere x {r = 0} x regimes",
-    )
 
     ic = StateVector(np.full(n_nodes, 0.3), 0 if switching else None)
     v0 = np.arange(1, n_nodes + 1, dtype=float)
     b_ic = StateVector(v0 / np.linalg.norm(v0), 0 if switching else None)
     return ModelBundle(name="sis", model=model, suite=suite,
-                       boundary=boundary, boundary_H=boundary_H,
-                       blowup=blowup, quad_map=quad, default_ic=ic,
+                       boundary=polar.boundary, boundary_H=polar.boundary_H,
+                       blowup=polar.blowup, quad_map=polar.quad_map, default_ic=ic,
                        boundary_ic=b_ic,
                        params={"adjacency": adj.tolist(), "beta": beta.tolist(),
                                "delta": delta.tolist(), "Q": q_mat.tolist(),

@@ -62,6 +62,16 @@ def test_em_step_nonfinite_raises():
         em_step(m, StateVector(np.array([1.0])), 0.1)
 
 
+def test_simulate_nonfinite_names_the_step_and_time():
+    # x climbs by dt = 0.5 per step; step 4 starts at x = 2 and blows up
+    m = ModelSpec(family="sde", dim=1, noise_dim=0,
+                  drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    cfg = SimConfig(dt=0.5, t_final=5.0)
+    with pytest.raises(NonFiniteState, match=r"at step 4, t = 2\.5\b"):
+        simulate(m, StateVector(np.array([0.0])), cfg, RngStream(0))
+
+
 def test_ou_stationary_variance():
     # dx = -x dt + sqrt(2) dW has stationary variance 1
     cfg = SimConfig(dt=1e-2, t_final=3000.0)

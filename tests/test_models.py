@@ -194,7 +194,8 @@ def test_eco_persistence_side():
 
 
 def test_eco_rejects_nonpositive_multiplier():
-    # the suite calibration steps the chain, so construction already fails
+    # the build steps the chain once from each calibration point (the
+    # positivity probe), so construction already fails
     with pytest.raises(NonPositiveF):
         make_ecological_discrete(1, lambda x, xi: np.array([-1.0]),
                                  lambda gen: 0.0, inner_mc=8)
@@ -394,3 +395,35 @@ def test_suite_constant_is_calibrated_on_first_read(monkeypatch, name, params, k
     assert bundle.suite.K == k
     assert bundle.suite.K == k
     assert calls == [1]
+
+
+@pytest.mark.parametrize("params", [
+    {"beta": 0.3, "delta": 1.0},
+    {"beta": [0.2, 0.5], "delta": [1.2, 0.8], "Q": [[-1.0, 1.0], [2.0, -2.0]]},
+])
+def test_sis_suite_constant_resolves_on_first_read(monkeypatch, params):
+    from extinctd.models import sis
+
+    calls = []
+    derive = sis.polar_blowup
+
+    def counted(*args, **kwargs):
+        polar = derive(*args, **kwargs)
+
+        def gamma_v(x, s=None):
+            calls.append(1)
+            return polar.gammaV(x, s)
+
+        return polar._replace(gammaV=gamma_v)
+
+    monkeypatch.setattr(sis, "polar_blowup", counted)
+    bundle = make_sis([[0, 1], [1, 0]], **params)
+    assert calls == []
+    samples = np.random.default_rng(2024).uniform(0.01, 1.0, size=(256, 2))
+    m = bundle.model.n_regimes
+    gv_max = max(float(np.max(bundle.suite.gammaV(samples, np.full(256, s, dtype=int))))
+                 for s in range(m))
+    del calls[:]
+    assert bundle.suite.K == 1.0 + 1.5 * gv_max
+    assert bundle.suite.K == 1.0 + 1.5 * gv_max
+    assert len(calls) == m
