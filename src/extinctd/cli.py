@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import invasion_rate, lorenz_lambda0, lorenz_lambda_mc, weighted_invasion_criterion
+from .criteria import invasion_rate, lorenz_lambda, lorenz_lambda0, weighted_invasion_criterion
 from .errors import ExtinctdError, MissingField, ParseError, UnknownKey, UnknownModel
 from .exponents import _estimate, boundary_exponent, robustness_scan, trajectory_slope
 from .integrators import SimConfig, simulate
@@ -291,21 +291,19 @@ def _run_slope(cfg, bundle):
 
 def _run_criterion(cfg, bundle):
     sim = cfg.sim_config()
+    ics = cfg.state_vectors(bundle.boundary_ic)
+    burn = cfg.options.get("burn_in")
     if bundle.name == "lorenz":
-        p = bundle.params
-        est = lorenz_lambda_mc(p["gamma"], p["z_star"], p["eta"], p["alpha0"],
-                               sim, cfg.replicas, seed=cfg.seed,
-                               burn_in=cfg.options.get("burn_in"))
+        est = lorenz_lambda(boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
+                                              cfg.replicas, seed=cfg.seed, burn_in=burn))
         report = {"lambda": est.to_dict(), "index": -est.point,
                   "extinct": bool(est.ci_high < 0.0)}
-        if p["alpha0"] == 0.0:
-            report["lambda0_closed_form"] = lorenz_lambda0(p["z_star"])
+        if bundle.params["alpha0"] == 0.0:
+            report["lambda0_closed_form"] = lorenz_lambda0(bundle.params["z_star"])
         return report, {}
     if bundle.species_H is not None:
-        ics = cfg.state_vectors(bundle.boundary_ic)
         rates = [invasion_rate(bundle.boundary, i, bundle.species_H(i), ics,
-                               sim, cfg.replicas, seed=cfg.seed,
-                               burn_in=cfg.options.get("burn_in"))
+                               sim, cfg.replicas, seed=cfg.seed, burn_in=burn)
                  for i in range(bundle.model.dim)]
         value, extinct = weighted_invasion_criterion(
             np.ones(len(rates)), rates)
@@ -314,10 +312,8 @@ def _run_criterion(cfg, bundle):
     # sis / linear carry a closed-form candidate in the suite
     index = bundle.suite.alpha_candidate
     if index is None:
-        ics = cfg.state_vectors(bundle.boundary_ic)
         est = boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
-                                cfg.replicas, seed=cfg.seed,
-                                burn_in=cfg.options.get("burn_in"))
+                                cfg.replicas, seed=cfg.seed, burn_in=burn)
         return {"index": est.point, "extinct": bool(est.ci_low > 0.0),
                 "estimate": est.to_dict()}, {}
     return {"index": float(index), "extinct": bool(index > 0.0)}, {}

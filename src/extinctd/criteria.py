@@ -11,7 +11,7 @@ closed form and the Monte Carlo estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -162,6 +162,13 @@ def lorenz_lambda0(z_star: float) -> float:
     return -1.0
 
 
+def lorenz_lambda(h_average):
+    """Cylinder lambda from an estimate of the H occupation average on the
+    Lorenz cylinder: lambda = -average, with the CI flipped to match."""
+    return replace(h_average, point=-h_average.point,
+                   ci_low=-h_average.ci_high, ci_high=-h_average.ci_low)
+
+
 def lorenz_lambda_mc(gamma: float, z_star: float, eta: float, alpha0: float,
                      cfg, reps: int, seed: int = 0,
                      burn_in: Optional[float] = None):
@@ -172,15 +179,12 @@ def lorenz_lambda_mc(gamma: float, z_star: float, eta: float, alpha0: float,
     of 1 - (z/2) sin(2 theta) as an ExponentEstimate; a negative value
     certifies extinction (convergence to the z-axis).
     """
-    from .exponents import ExponentEstimate, boundary_exponent
+    from .exponents import boundary_exponent
     from .models.lorenz import make_lorenz
 
     b = make_lorenz(gamma, z_star, eta, alpha0)
-    est = boundary_exponent(b.boundary, b.boundary_H, [b.boundary_ic], cfg, reps,
-                            seed=seed, burn_in=burn_in)
-    return ExponentEstimate(point=-est.point, ci_low=-est.ci_high,
-                            ci_high=-est.ci_low, n_replicas=est.n_replicas,
-                            horizon=est.horizon, method=est.method)
+    return lorenz_lambda(boundary_exponent(b.boundary, b.boundary_H, [b.boundary_ic],
+                                           cfg, reps, seed=seed, burn_in=burn_in))
 
 
 def invasion_rate(boundary_model, species_index: int, H_i: Callable, ics,

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteState, RateBoundViolated
-from .process_core import ModelSpec, StateVector, Trajectory, as_generator
+from .process_core import ModelSpec, RngStream, StateVector, Trajectory, as_generator
 
 _CHUNK = 4096
 _TIME_GUARD = 1e-9  # minimum jump offset, as a fraction of dt
@@ -230,8 +230,12 @@ def _simulate_diffusion(model, x0: StateVector, cfg: SimConfig, gen) -> Trajecto
                 t_cur = t0
                 z_cur = z
                 pending = False
-                for off, target in _regime_jumps(model, x, s, dt, gen, lam,
-                                                 first_count=count):
+                try:
+                    jumps = _regime_jumps(model, x, s, dt, gen, lam, first_count=count)
+                except RateBoundViolated as exc:
+                    exc.args = (f"{exc} in step {k} (rates frozen at t = {t0!r})",)
+                    raise
+                for off, target in jumps:
                     tau = min(max(t0 + off, t_cur + guard), t1 - guard)
                     if tau <= t_cur:
                         # jump squeezed against the step end: fold into the
@@ -280,14 +284,19 @@ def simulate(model: ModelSpec, x0: StateVector, cfg: SimConfig, rng) -> Trajecto
     Diffusions are recorded on the dt grid plus all regime jump times;
     discrete chains use one time unit per step (see ``poissonize`` for the
     continuous-time embedding).  Equal (seed, stream_id, model, dt, t_final)
-    reproduce bit-identical trajectories.
+    reproduce bit-identical trajectories.  ``NonFiniteState`` and
+    ``RateBoundViolated`` name the step and time, and the replica when
+    ``rng`` is an ``RngStream``.
     """
     if x0.dim != model.dim:
         raise ValueError(f"initial condition has dim {x0.dim}, model wants {model.dim}")
-    gen = as_generator(rng)
-    if model.family == "discrete_chain":
-        return _simulate_chain(model, x0, cfg, gen)
-    return _simulate_diffusion(model, x0, cfg, gen)
+    run = _simulate_chain if model.family == "discrete_chain" else _simulate_diffusion
+    try:
+        return run(model, x0, cfg, as_generator(rng))
+    except (NonFiniteState, RateBoundViolated) as exc:
+        if isinstance(rng, RngStream):  # the replica rule makes stream_id the replica
+            exc.args = (f"replica {rng.stream_id}: {exc}",)
+        raise
 
 
 def poissonize(chain: ModelSpec, x0: StateVector, rng, t_final: float) -> Trajectory:

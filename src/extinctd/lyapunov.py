@@ -291,6 +291,27 @@ def tightness_check(traj: Trajectory, suite: LyapunovSuite, slack: float = 0.0,
                            passed=bool(tail <= suite.K + slack))
 
 
+def suite_terms(model: ModelSpec, suite: LyapunovSuite,
+                points: Sequence[StateVector], rng=None, n_mc: int = 4000,
+                skip_unbounded: bool = False):
+    """Yield (W', U', LW, LU, GammaW, GammaV) at each point, evaluated in that
+    order so Monte Carlo draws from ``rng`` are reproducible.  GammaV is the
+    suite's own ``gammaV`` when it has one.  With ``skip_unbounded`` the two
+    Gamma terms are None where U' <= 0, since no K bounds them there."""
+    for p in points:
+        x, s = p.x, p.regime
+        wp = float(suite.Wprime(x, s))
+        up = float(suite.Uprime(x, s))
+        lw = generator_apply(model, suite.W, p, rng=rng, n_mc=n_mc)
+        lu = generator_apply(model, suite.U, p, rng=rng, n_mc=n_mc)
+        gw = gv = None
+        if up > 0 or not skip_unbounded:
+            gw = gamma_apply(model, suite.W, p, rng=rng, n_mc=n_mc)
+            gv = float(suite.gammaV(x, s)) if suite.gammaV is not None else \
+                gamma_apply(model, suite.V, p, rng=rng, n_mc=n_mc)
+        yield wp, up, lw, lu, gw, gv
+
+
 @dataclass
 class SuiteReport:
     violations: Dict[str, float]
@@ -314,15 +335,7 @@ def suite_diagnostics(model: ModelSpec, suite: LyapunovSuite,
     k = suite.K
     tags = {"LW <= K - W'": [], "LU <= K - U'": [],
             "GammaW <= K*U'": [], "GammaV <= K*U'": []}
-    for p in sample_points:
-        x, s = p.x, p.regime
-        wp = float(suite.Wprime(x, s))
-        up = float(suite.Uprime(x, s))
-        lw = generator_apply(model, suite.W, p, rng=rng, n_mc=n_mc)
-        lu = generator_apply(model, suite.U, p, rng=rng, n_mc=n_mc)
-        gw = gamma_apply(model, suite.W, p, rng=rng, n_mc=n_mc)
-        gv = float(suite.gammaV(x, s)) if suite.gammaV is not None else \
-            gamma_apply(model, suite.V, p, rng=rng, n_mc=n_mc)
+    for wp, up, lw, lu, gw, gv in suite_terms(model, suite, sample_points, rng, n_mc):
         tags["LW <= K - W'"].append(lw - (k - wp))
         tags["LU <= K - U'"].append(lu - (k - up))
         tags["GammaW <= K*U'"].append(gw - k * up)

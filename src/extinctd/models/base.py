@@ -7,7 +7,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..lyapunov import LyapunovSuite, gamma_apply, generator_apply
+from ..lyapunov import LyapunovSuite, suite_terms
 from ..process_core import ModelSpec, StateVector
 
 
@@ -48,50 +48,70 @@ class ModelBundle:
     params: dict = field(default_factory=dict)
 
 
-def calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime,
-                             calib_points, floor: float = 1.0,
-                             margin: float = 1.3, n_mc: int = 1000) -> float:
+def calibrate_suite_constant(model, suite: LyapunovSuite, calib_points,
+                             floor: float = 1.0, margin: float = 1.3,
+                             n_mc: int = 1000) -> float:
     """Smallest K (with margin) making the suite inequalities hold on a sample.
 
     Global verification is analytic and out of numerical reach; the shipped
     suites pin K on a deterministic calibration sample that covers the
     region the diagnostics exercise.
     """
-    rng = np.random.default_rng(99)
     needs = [floor]
-    for p in calib_points:
-        x, s = p.x, p.regime
-        wp = float(Wprime(x, s))
-        up = float(Uprime(x, s))
-        needs.append(generator_apply(model, W, p, rng=rng, n_mc=n_mc) + wp)
-        needs.append(generator_apply(model, U, p, rng=rng, n_mc=n_mc) + up)
+    for wp, up, lw, lu, gw, gv in suite_terms(model, suite, calib_points,
+                                              np.random.default_rng(99), n_mc,
+                                              skip_unbounded=True):
+        needs.append(lw + wp)
+        needs.append(lu + up)
         if up > 0:
-            needs.append(gamma_apply(model, W, p, rng=rng, n_mc=n_mc) / up)
-            gv = float(gammaV(x, s)) if gammaV is not None else \
-                gamma_apply(model, V, p, rng=rng, n_mc=n_mc)
+            needs.append(gw / up)
             needs.append(gv / up)
     return margin * max(needs) + 0.5
 
 
-def power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
-                calib_points, alpha_candidate=None,
-                s_u: float = 0.05) -> LyapunovSuite:
-    """Suite built from a master function Ubar >= 1 with L Ubar <= K - c Ubar.
+def power_suite(model, V, H, gammaV, P, shape, calib_radius: float, nonneg: bool = False,
+                alpha_candidate=None, s_u: float = 0.05) -> LyapunovSuite:
+    """Suite built from a master function Ubar = g(q), q = x'Px, with
+    L Ubar <= K - c Ubar.
+
+    ``P`` is symmetric and ``shape`` holds g, g'/g and g''/g as functions of
+    q.  Ito's formula with the model's own drift F and diffusion G gives
+
+        Lq = 2 F.Px + tr(G'PG),   Gamma q = 4 |G'Px|^2,
+        L Ubar / Ubar = (g'/g) Lq + (g''/g) Gamma q / 2,
+        Gamma Ubar / Ubar^2 = (g'/g)^2 Gamma q.
 
     Uses the fractional powers W = Ubar^(1/4), U = Ubar^(1/2) and the scale
     function phi = max(2 - L Ubar / Ubar + Gamma Ubar / Ubar^2, 1), so the
-    quadratic variations of W and V are dominated by U'; K is calibrated on
-    the supplied sample when it is first read.
+    quadratic variations of W and V are dominated by U'; K is calibrated when
+    it is first read, on ``ball_sample`` points of radius ``calib_radius``.
     """
+    P = np.asarray(P, dtype=float)
+    g, g1, g2 = shape
+
+    def ubar(x):
+        x = np.asarray(x, dtype=float)
+        return g(np.sum(x * (x @ P), axis=-1))
 
     def phi(x, s=None):
-        return np.maximum(2.0 - lu_over_u(x, s) + gu_over_u2(x, s), 1.0)
+        x = np.asarray(x, dtype=float)
+        px = x @ P
+        q = np.sum(x * px, axis=-1)
+        lq = 2.0 * np.sum(model.drift(x, s) * px, axis=-1)
+        gq = 0.0
+        if model.noise_dim > 0:
+            G = model.diffusion(x, s)  # (..., n, d)
+            gpx = np.matmul(px[..., None, :], G)[..., 0, :]
+            lq = lq + np.sum(G * (P @ G), axis=(-2, -1))
+            gq = 4.0 * np.sum(gpx * gpx, axis=-1)
+        a = g1(q)
+        return np.maximum(2.0 - (a * lq + 0.5 * g2(q) * gq) + a * a * gq, 1.0)
 
     def W(x, s=None):
-        return ubar(x, s) ** 0.25
+        return ubar(x) ** 0.25
 
     def U(x, s=None):
-        return ubar(x, s) ** 0.5
+        return ubar(x) ** 0.5
 
     def Uprime(x, s=None):
         return s_u * U(x, s) * phi(x, s)
@@ -100,11 +120,12 @@ def power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
         return np.maximum(0.5 * s_u * W(x, s) * phi(x, s), 1.0)
 
     def k():
-        return calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime,
-                                        calib_points)
+        return calibrate_suite_constant(model, suite,
+                                        ball_sample(model.dim, calib_radius, 48, nonneg=nonneg))
 
-    return LyapunovSuite(V=V, H=H, gammaV=gammaV, W=W, Wprime=Wprime,
-                         U=U, Uprime=Uprime, K=k, alpha_candidate=alpha_candidate)
+    suite = LyapunovSuite(V=V, H=H, gammaV=gammaV, W=W, Wprime=Wprime,
+                          U=U, Uprime=Uprime, K=k, alpha_candidate=alpha_candidate)
+    return suite
 
 
 class PolarFamily(NamedTuple):

@@ -126,11 +126,8 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
     for p in calib:
         step_map(p.x, noise_sampler(probe))
 
-    def k():
-        return calibrate_suite_constant(model, V, gammaV, W, Wprime, U, Uprime, calib)
-
-    suite = LyapunovSuite(V=V, H=H, gammaV=gammaV, W=W, Wprime=Wprime,
-                          U=U, Uprime=Uprime, K=k,
+    suite = LyapunovSuite(V=V, H=H, gammaV=gammaV, W=W, Wprime=Wprime, U=U, Uprime=Uprime,
+                          K=lambda: calibrate_suite_constant(model, suite, calib),
                           alpha_candidate=alpha_candidate)
 
     # the face {x_i = 0} is invariant for the chain itself, so the boundary

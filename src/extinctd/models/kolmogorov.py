@@ -10,7 +10,7 @@ import numpy as np
 from ..criteria import kolmogorov_H
 from ..errors import DimensionMismatch
 from ..process_core import ModelSpec, StateVector
-from .base import ModelBundle, ball_sample, power_suite
+from .base import ModelBundle, power_suite
 
 
 def make_kolmogorov(n_species: int, f, g, noise_matrix,
@@ -33,12 +33,12 @@ def make_kolmogorov(n_species: int, f, g, noise_matrix,
         return x * np.asarray(f(x), dtype=float)
 
     def diffusion(x, s=None):
-        return (x * np.asarray(g(x), dtype=float))[:, None] * A.T
+        return (x * np.asarray(g(x), dtype=float))[..., None] * A.T
 
     model = ModelSpec(
         family="sde", dim=n_species, noise_dim=noise_dim,
         drift=drift, diffusion=diffusion,
-        domain_projection=lambda x, s=None: np.clip(x, 0.0, None),
+        domain_projection=lambda x, s=None: np.maximum(x, 0.0),
         extinction_distance=lambda x, s=None: np.min(np.asarray(x, dtype=float), axis=-1),
         name="kolmogorov",
     )
@@ -59,32 +59,14 @@ def make_kolmogorov(n_species: int, f, g, noise_matrix,
         wg = weights * gx
         return np.einsum("...i,ij,...j->...", wg, sigma, wg)
 
-    def ubar(x, s=None):
-        return 1.0 + np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
-
-    def lu_over_u(x, s=None):
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(f(x), dtype=float)
-        gx = np.asarray(g(x), dtype=float)
-        u = 1.0 + np.sum(x * x, axis=-1)
-        lu = 2.0 * np.sum(x * x * fx, axis=-1) + np.sum(
-            np.diag(sigma) * x * x * gx * gx, axis=-1)
-        return lu / u
-
-    def gu_over_u2(x, s=None):
-        x = np.asarray(x, dtype=float)
-        gx = np.asarray(g(x), dtype=float)
-        u = 1.0 + np.sum(x * x, axis=-1)
-        w = x * x * gx
-        return 4.0 * np.einsum("...i,ij,...j->...", w, sigma, w) / u ** 2
-
     alpha = None
     if n_species == 1:
         h0 = float(h_parts[0](np.zeros(1)))
         alpha = h0 if h0 > 0 else None
-    suite = power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
-                        ball_sample(n_species, 4.0, 48, nonneg=True),
-                        alpha_candidate=alpha)
+    # master function 1 + |x|^2 for the tightness suite
+    suite = power_suite(model, V, H, gammaV, np.eye(n_species),
+                        (lambda q: 1.0 + q, lambda q: 1.0 / (1.0 + q), lambda q: 0.0),
+                        4.0, nonneg=True, alpha_candidate=alpha)
 
     # faces are invariant for the SDE itself: the boundary model is the same
     # spec started on the face of interest

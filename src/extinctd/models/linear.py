@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import NonSquare
 from ..process_core import ModelSpec, StateVector
-from .base import ModelBundle, _norm, ball_sample, polar_blowup, power_suite
+from .base import ModelBundle, _norm, polar_blowup, power_suite
 
 
 def make_linear_sde(A, Sigma=None) -> ModelBundle:
@@ -29,10 +29,10 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
     noisy = bool(np.any(Sigma != 0.0))
 
     def drift(x, s=None):
-        return A @ x
+        return x @ A.T
 
     def diffusion(x, s=None):
-        return (Sigma @ x)[:, None]
+        return (x @ Sigma.T)[..., None]
 
     model = ModelSpec(
         family="sde", dim=n, noise_dim=1 if noisy else 0,
@@ -41,34 +41,20 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
         name="linear",
     )
 
-    # unit coefficients: F(r v) = r A v and G(r v) = r Sigma v
-    polar = polar_blowup(model, lambda v, r, s=None: v @ A.T,
-                         lambda v, r, s=None: (v @ Sigma.T)[..., None])
-
-    # master function (1 + |x|^2)^(1/2) for the tightness suite
-    def ubar(x, s=None):
-        return np.sqrt(1.0 + np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
-
-    def lu_over_u(x, s=None):
-        x = np.asarray(x, dtype=float)
-        u = 1.0 + np.sum(x * x, axis=-1)
-        w = x @ Sigma.T
-        quad = np.sum(x * (x @ A.T), axis=-1)
-        return (quad + 0.5 * (np.sum(w * w, axis=-1)
-                              - np.sum(x * w, axis=-1) ** 2 / u)) / u
-
-    def gu_over_u2(x, s=None):
-        x = np.asarray(x, dtype=float)
-        u = 1.0 + np.sum(x * x, axis=-1)
-        return np.sum(x * (x @ Sigma.T), axis=-1) ** 2 / u ** 2
+    # unit coefficients: F(r v) = r F(v) and G(r v) = r G(v)
+    polar = polar_blowup(model, lambda v, r, s=None: drift(v),
+                         lambda v, r, s=None: diffusion(v))
 
     alpha = None
     if not noisy:
         alpha = float(-np.max(np.linalg.eigvals(A).real))
     elif n == 1:
         alpha = float(-A[0, 0] + 0.5 * Sigma[0, 0] ** 2)
-    suite = power_suite(model, polar.V, polar.H, polar.gammaV, ubar, lu_over_u,
-                        gu_over_u2, ball_sample(n, 6.0, 48), alpha_candidate=alpha)
+    # master function (1 + |x|^2)^(1/2) for the tightness suite
+    suite = power_suite(model, polar.V, polar.H, polar.gammaV, np.eye(n),
+                        (lambda q: np.sqrt(1.0 + q), lambda q: 0.5 / (1.0 + q),
+                         lambda q: -0.25 / (1.0 + q) ** 2),
+                        6.0, alpha_candidate=alpha)
 
     ic = np.full(n, 1.0 / np.sqrt(n))
     return ModelBundle(name="linear", model=model, suite=suite,

@@ -20,7 +20,7 @@ import numpy as np
 from ..criteria import lorenz_lambda0
 from ..errors import NegativeParameter
 from ..process_core import ModelSpec, StateVector
-from .base import ModelBundle, QuadrupleMap, ball_sample, power_suite
+from .base import ModelBundle, QuadrupleMap, power_suite
 
 
 def make_lorenz(gamma: float, z_star: float, eta: float,
@@ -34,12 +34,12 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
     noise_col = np.array([[0.0], [0.0], [alpha0]])
 
     def drift(u, s=None):
-        x, y, z = u
+        x, y, z = u.T
         return np.array([
             y,
             x * (z - 2.0) - 2.0 * y,
             -(gamma * (z - z_star) + x * (x + eta * y)),
-        ])
+        ]).T
 
     model = ModelSpec(
         family="sde", dim=3, noise_dim=1 if noisy else 0,
@@ -61,37 +61,14 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
     def gammaV(u, s=None):
         return np.zeros(np.shape(u)[:-1])
 
-    # master function exp(eps q) with q chosen so the cubic terms of Lq cancel
-    # (q = a x^2 + (x + eta y)^2 + eta z^2, valid for eta > 1/2)
-    eps = 0.05
-    a_coef = 2.0 * eta - 1.0 + 2.0 * eta ** 2
-
-    def _q(x, y, z):
-        return a_coef * x ** 2 + (x + eta * y) ** 2 + eta * z ** 2
-
-    def ubar(u, s=None):
-        u = np.asarray(u, dtype=float)
-        return np.exp(eps * _q(u[..., 0], u[..., 1], u[..., 2]))
-
-    def lu_over_u(u, s=None):
-        u = np.asarray(u, dtype=float)
-        x, y, z = u[..., 0], u[..., 1], u[..., 2]
-        w = x + eta * y
-        drift_dot_grad = (
-            y * (2.0 * a_coef * x + 2.0 * w)
-            + (x * (z - 2.0) - 2.0 * y) * (2.0 * eta * w)
-            + (-(gamma * (z - z_star)) - x * w) * (2.0 * eta * z)
-        )
-        return eps * drift_dot_grad + alpha0 ** 2 * (eps * eta + 2.0 * (eps * eta * z) ** 2)
-
-    def gu_over_u2(u, s=None):
-        u = np.asarray(u, dtype=float)
-        z = u[..., 2]
-        return (alpha0 * 2.0 * eps * eta * z) ** 2
-
+    # master function exp(eps q) with q = a x^2 + (x + eta y)^2 + eta z^2 chosen
+    # so the cubic terms of Lq cancel (a = 2 eta - 1 + 2 eta^2, eta > 1/2)
+    eps, a = 0.05, 2.0 * eta - 1.0 + 2.0 * eta ** 2
+    P = [[a + 1.0, eta, 0.0], [eta, eta ** 2, 0.0], [0.0, 0.0, eta]]
     alpha_cand = -lorenz_lambda0(z_star) if alpha0 == 0.0 else None
-    suite = power_suite(model, V, H, gammaV, ubar, lu_over_u, gu_over_u2,
-                        ball_sample(3, 5.0, 48), alpha_candidate=alpha_cand)
+    suite = power_suite(model, V, H, gammaV, P, (lambda q: np.exp(eps * q), lambda q: eps,
+                                                 lambda q: eps * eps),
+                        5.0, alpha_candidate=alpha_cand)
 
     # full blow-up (theta, R, z)
     def bl_drift(u, s=None):

@@ -256,6 +256,29 @@ def test_criterion_experiment_other_families(tmp_path):
     assert rep["lambda0_closed_form"] == -1.0
 
 
+def test_lorenz_criterion_runs_from_the_configured_ics(tmp_path):
+    from extinctd.exponents import boundary_exponent
+
+    ic = [2.0, 1.5]  # (theta, z) on the cylinder, away from the default (0.9, z*)
+    raw = {
+        "model": {"name": "lorenz",
+                  "params": {"gamma": 1.0, "z_star": 0.5, "eta": 1.0, "alpha0": 0.05}},
+        "experiment": "criterion",
+        "sim": {"dt": 0.01, "t_final": 20.0},
+        "replicas": 2, "seed": 5, "ics": [ic], "output": str(tmp_path / "lor"),
+        "options": {"burn_in": 2.0},
+    }
+    cfg = config_from_dict(raw)
+    rep = run_experiment(cfg)
+    b = make_bundle("lorenz", raw["model"]["params"])
+    est = boundary_exponent(b.boundary, b.boundary_H, [StateVector(np.array(ic))],
+                            cfg.sim_config(), 2, seed=5, burn_in=2.0)
+    assert rep["lambda"]["point"] == -est.point
+    assert rep["lambda"]["ci_low"] == -est.ci_high
+    assert rep["index"] == est.point
+    assert "lambda0_closed_form" not in rep
+
+
 def test_shipped_configs_parse_and_validate():
     import glob
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ def test_simulate_nonfinite_names_the_step_and_time():
     cfg = SimConfig(dt=0.5, t_final=5.0)
     with pytest.raises(NonFiniteState, match=r"at step 4, t = 2\.5\b"):
         simulate(m, StateVector(np.array([0.0])), cfg, RngStream(0))
+
+
+def test_simulate_failures_name_the_replica_step_and_time():
+    m = ModelSpec(family="sde", dim=1, noise_dim=0,
+                  drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    cfg = SimConfig(dt=0.5, t_final=5.0)
+    with pytest.raises(NonFiniteState, match=r"^replica 3: non-finite state at step 4, t = 2\.5\b"):
+        simulate(m, StateVector(np.array([0.0])), cfg, RngStream(7, 3))
+    with pytest.raises(NonFiniteState, match=r"^non-finite state at step 4\b"):
+        simulate(m, StateVector(np.array([0.0])), cfg, RngStream(7, 3).generator())
+
+    jumpy = jump_model([[-3.0, 3.0], [3.0, -3.0]])
+    cfg = SimConfig(dt=0.01, t_final=50.0, max_rate_bound=1.0)
+    with pytest.raises(RateBoundViolated,
+                       match=r"^replica 2: \|q_ii\(x\)\| = 3 exceeds rate bound 1 "
+                             r"in step (\d+) \(rates frozen at t = [0-9.e-]+\)$") as info:
+        simulate(jumpy, StateVector(np.zeros(1), 0), cfg, RngStream(1, 2))
+    step, t = re.search(r"in step (\d+) \(rates frozen at t = (.+)\)", str(info.value)).groups()
+    assert float(t) == int(step) * 0.01
 
 
 def test_ou_stationary_variance():

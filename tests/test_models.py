@@ -71,10 +71,13 @@ def _bits(a):
 
 
 def test_sis_projections_match_clip_bit_for_bit(sis_k2):
-    # the projections use np.maximum / np.minimum in the argument order that
-    # reproduces np.clip on -0.0, NaN and infinities
+    # the SIS and Kolmogorov projections use np.maximum / np.minimum in the
+    # argument order that reproduces np.clip on -0.0, NaN and infinities
     vals = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 0.5, 2.0])
     assert _bits(sis_k2.model.domain_projection(vals)) == _bits(np.clip(vals, 0.0, 1.0))
+    kolmogorov = make_kolmogorov(len(vals), lambda x: -x, lambda x: np.ones_like(x),
+                                 np.eye(len(vals)))
+    assert _bits(kolmogorov.model.domain_projection(vals)) == _bits(np.clip(vals, 0.0, None))
 
     def clip_sphere(v):
         v = np.clip(v, 0.0, None)
