@@ -3,8 +3,18 @@
 Configs are JSON records (see README for the schema); unknown keys are hard
 errors and the seed is mandatory so every report is reproducible.  Floats in
 all output files are formatted with 17 significant digits, which makes
-report.json byte-identical across reruns.  Replicas run serially; the
-thread count is accepted and ignored.
+report.json byte-identical across reruns.  The thread count is accepted
+and ignored.
+
+The simulate and diagnostics runners step a diffusion's replicas in
+lockstep with ``integrators.simulate_lanes``, whose paths equal
+``simulate``'s bit for bit.  The slope runner still calls ``simulate`` once
+per replica through ``_map_indexed``, because perfbench's tracer counts
+those calls; once the tracer wraps ``simulate_lanes`` it can move too.  The
+boundary-exponent, criterion and robustness-scan runners go through
+``boundary_exponent`` and ``invasion_rate``, which stay per replica: the
+blow-up and cylinder callbacks take one state at a time, and discrete
+chains draw their noise one sample at a time.
 
 Experiments: simulate, boundary-exponent, slope, criterion, robustness-scan,
 diagnostics.
@@ -14,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -25,7 +36,7 @@ import numpy as np
 from .criteria import invasion_rate, lorenz_lambda, lorenz_lambda0, weighted_invasion_criterion
 from .errors import ExtinctdError, MissingField, ParseError, UnknownKey, UnknownModel
 from .exponents import _estimate, boundary_exponent, robustness_scan, trajectory_slope
-from .integrators import SimConfig, simulate
+from .integrators import SimConfig, simulate, simulate_lanes
 from .lyapunov import (
     dynkin_residual,
     qv_residual,
@@ -154,7 +165,7 @@ def emit_config(cfg: ExperimentConfig) -> dict:
 # -- deterministic serialization ----------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return format(float(x), ".17g")
 
@@ -199,21 +210,18 @@ def _write_text(directory: str, name: str, text: str):
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(_fmt_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join([_fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)
+                               for v in row]))
     return "\n".join(lines) + "\n"
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
-    """Replica fan-out, serial and ordered by index.
+    """Replica fan-out, serial and ordered by index, for the slope runner.
 
     ``threads`` is ignored: the replica work holds the GIL, so a thread pool
-    made runs slower, not faster.
+    made runs slower, not faster.  The simulate and diagnostics runners step
+    their replicas as one block with ``simulate_lanes`` instead; the slope
+    runner stays here while perfbench's tracer counts ``simulate`` calls.
     """
     return [fn(i) for i in range(count)]
 
@@ -223,18 +231,12 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 def _run_simulate(cfg, bundle):
     sim = cfg.sim_config()
     replicas = replica_streams(cfg.state_vectors(bundle.default_ic), cfg.replicas, cfg.seed)
-
-    def one(j):
-        rid, ic, rng = replicas[j]
-        return rid, simulate(bundle.model, ic, sim, rng)
-
-    results = _map_indexed(one, len(replicas), 1)
     rows = []
     summary = []
-    for rid, traj in results:
-        for k in range(len(traj.times)):
-            reg = -1 if traj.regimes is None else int(traj.regimes[k])
-            rows.append([rid, traj.times[k], *traj.states[k], reg])
+    for (rid, _, _), traj in zip(replicas, simulate_lanes(bundle.model, replicas, sim)):
+        regimes = [-1] * len(traj.times) if traj.regimes is None else traj.regimes.tolist()
+        rows += [[rid, t, *x, reg] for t, x, reg
+                 in zip(traj.times.tolist(), traj.states.tolist(), regimes)]
         summary.append({
             "replica_id": rid,
             "duration": traj.duration,
@@ -365,21 +367,14 @@ def _run_diagnostics(cfg, bundle):
                            "extinction set; supply interior ics")
     suite_rep = suite_diagnostics(bundle.model, suite, points)
 
-    replicas = replica_streams(ics[:1], cfg.replicas, cfg.seed)
-
-    def one(j):
-        _, ic, rng = replicas[j]
-        return simulate(bundle.model, ic, sim, rng)
-
-    trajs = _map_indexed(one, len(replicas), 1)
+    trajs = simulate_lanes(bundle.model, replica_streams(ics[:1], cfg.replicas, cfg.seed), sim)
     tight = tightness_check(trajs[0], suite, slack=float(cfg.options.get("slack", 0.0)),
                             tail_fraction=float(cfg.options.get("tail_fraction", 0.25)))
     rows = []
     for rid, traj in enumerate(trajs):
         dyn = dynkin_residual(traj, suite.V, suite.H)
         qv = qv_residual(traj, suite.V, suite.H, suite.gammaV)
-        for k in range(len(traj.times)):
-            rows.append([rid, traj.times[k], dyn[k], qv[k]])
+        rows += [[rid, t, d, q] for t, d, q in zip(traj.times.tolist(), dyn.tolist(), qv.tolist())]
     report = {
         "suite": {"violations": suite_rep.violations, "passed": suite_rep.passed,
                   "tolerance": suite_rep.tolerance},

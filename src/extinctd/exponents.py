@@ -13,7 +13,7 @@ import numpy as np
 
 from .criteria import eigenvalues
 from .errors import WindowTooShort
-from .integrators import SimConfig, simulate
+from .integrators import SimConfig, simulate, simulate_lanes
 from .lyapunov import LyapunovSuite, eval_along, occupation_average
 from .process_core import ModelSpec, StateVector, Trajectory, replica_streams
 
@@ -129,8 +129,8 @@ def slope_experiment(model: ModelSpec, V: Callable, x0: StateVector,
                      cfg: SimConfig, reps: int, seed: int = 0,
                      window: float = 0.5) -> ExponentEstimate:
     """Replica-averaged trajectory slope with CI from the replica spread."""
-    slopes = [trajectory_slope(simulate(model, ic, cfg, rng), V, window).point
-              for _, ic, rng in replica_streams([x0], reps, seed)]
+    slopes = [trajectory_slope(traj, V, window).point
+              for traj in simulate_lanes(model, replica_streams([x0], reps, seed), cfg)]
     return _estimate(slopes, cfg.t_final, "trajectory_slope")
 
 
@@ -153,9 +153,8 @@ def extinction_fraction(model: ModelSpec, suite: LyapunovSuite,
         raise ValueError("suite.alpha_candidate must be set")
     alpha = suite.alpha_candidate
     wins = 0
-    replicas = replica_streams(ics, reps, seed)
-    for _, ic, rng in replicas:
-        traj = simulate(model, ic, cfg, rng)
+    trajs = simulate_lanes(model, replica_streams(ics, reps, seed), cfg)
+    for traj in trajs:
         if _is_early(traj, cfg):
             wins += 1
             continue
@@ -165,7 +164,7 @@ def extinction_fraction(model: ModelSpec, suite: LyapunovSuite,
             continue
         if est.point >= alpha - tol:
             wins += 1
-    return wins / len(replicas)
+    return wins / len(trajs)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Time-stepping kernels: Euler-Maruyama, thinned regime jump clocks,
 discrete-chain stepping, and Poissonization of chains into continuous time.
+``simulate`` runs one replica; ``simulate_lanes`` steps a run's replicas of
+a diffusion together as one block and gives the same paths bit for bit.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -51,14 +53,17 @@ def _check_finite(x: np.ndarray, step: Optional[int] = None, t: Optional[float] 
 
 
 def _advance(model: ModelSpec, x, s, h, z):
-    """One raw EM update over a step of length h with unit normals z."""
+    """One raw EM update over a step of length h with unit normals z, for one
+    state x or, row by row, for a block of them."""
     xn = x + model.drift(x, s) * h
     if z is not None:
         sq = math.sqrt(h)
         if model.diffusion_diag is not None:
             xn = xn + model.diffusion_diag(x, s) * (sq * z)
-        else:
+        elif x.ndim == 1:
             xn = xn + model.diffusion(x, s) @ (sq * z)
+        else:  # a matrix-vector product per row, as for one state
+            xn = xn + np.matmul(model.diffusion(x, s), (sq * z)[..., None])[..., 0]
     return model.domain_projection(xn, s)
 
 
@@ -184,34 +189,77 @@ class _Recorder:
                           reg, np.asarray(self.jumps, dtype=np.int64))
 
 
+def _step_count(cfg: SimConfig) -> int:
+    n_steps = int(round(cfg.t_final / cfg.dt))
+    if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.dt:
+        raise ValueError("t_final must be an integer multiple of dt")
+    return n_steps
+
+
+def _clock(model, x0: StateVector, cfg: SimConfig):
+    """Start regime of a diffusion path from x0 and its thinning rate bound
+    (0 when the regime never switches)."""
+    switching = model.family == "switching_diffusion" and model.n_regimes > 1
+    s = x0.regime if x0.regime is not None else (0 if switching else None)
+    lam = 0.0
+    if switching:
+        lam = cfg.max_rate_bound if cfg.max_rate_bound is not None else _rate_bound(model, x0.x)
+    return s, lam
+
+
+def _jump_step(model, x, s, k, dt, z, gen, lam, count, push):
+    """Step k of length dt from (x, s) when the regime clock drew ``count``
+    candidates in it.  Each accepted jump splits the step: x advances to the
+    jump time, ``push(tau, x, new_regime)`` records that point, and fresh
+    normals drive the rest of the step.  Returns (x, s, pending) at the step
+    end, unchecked; ``pending`` marks a jump folded into the end point."""
+    t0, t1 = k * dt, (k + 1) * dt
+    guard = _TIME_GUARD * dt
+    try:
+        jumps = _regime_jumps(model, x, s, dt, gen, lam, first_count=count)
+    except RateBoundViolated as exc:
+        exc.args = (f"{exc} in step {k} (rates frozen at t = {t0!r})",)
+        raise
+    t_cur = t0
+    pending = False
+    for off, target in jumps:
+        tau = min(max(t0 + off, t_cur + guard), t1 - guard)
+        if tau <= t_cur:
+            # jump squeezed against the step end: fold into the grid point
+            # instead of inserting a degenerate time
+            s = target
+            pending = True
+            continue
+        x = _advance(model, x, s, tau - t_cur, z)
+        s = target
+        push(tau, x, s)
+        t_cur = tau
+        z = gen.standard_normal(model.noise_dim) if model.noise_dim > 0 else None
+    return _advance(model, x, s, t1 - t_cur, z), s, pending
+
+
 def _simulate_diffusion(model, x0: StateVector, cfg: SimConfig, gen) -> Trajectory:
     dim, nd = model.dim, model.noise_dim
     dt = cfg.dt
-    n_steps = int(round(cfg.t_final / dt))
-    if abs(n_steps * dt - cfg.t_final) > 1e-9 * dt:
-        raise ValueError("t_final must be an integer multiple of dt")
-    switching = model.family == "switching_diffusion" and model.n_regimes > 1
-    s = x0.regime if x0.regime is not None else (0 if switching else None)
+    n_steps = _step_count(cfg)
+    s, lam = _clock(model, x0, cfg)
+    thinning = lam > 0.0
     x = x0.x.copy()
-
-    lam = 0.0
-    if switching:
-        lam = cfg.max_rate_bound if cfg.max_rate_bound is not None else _rate_bound(model, x)
-    thinning = switching and lam > 0.0
 
     rec = _Recorder(dim, n_steps + 1, s is not None)
     rec.push(0.0, x, s)
     d0 = float(model.extinction_distance(x, s))
     floor_active = d0 > cfg.floor_epsilon
 
+    def push_jump(t, xj, sj):
+        rec.push(t, xj, sj, jump=True)
+
     z_buf = None
     c_buf = None
     pos = _CHUNK
     cpos = _CHUNK
-    guard = _TIME_GUARD * dt
 
     for k in range(n_steps):
-        t0 = k * dt
         t1 = (k + 1) * dt
         z = None
         if nd > 0:
@@ -220,43 +268,20 @@ def _simulate_diffusion(model, x0: StateVector, cfg: SimConfig, gen) -> Trajecto
                 pos = 0
             z = z_buf[pos]
             pos += 1
+        pending = False
+        count = 0
         if thinning:
             if cpos == _CHUNK:
                 c_buf = gen.poisson(lam * dt, _CHUNK)
                 cpos = 0
             count = c_buf[cpos]
             cpos += 1
-            if count > 0:
-                t_cur = t0
-                z_cur = z
-                pending = False
-                try:
-                    jumps = _regime_jumps(model, x, s, dt, gen, lam, first_count=count)
-                except RateBoundViolated as exc:
-                    exc.args = (f"{exc} in step {k} (rates frozen at t = {t0!r})",)
-                    raise
-                for off, target in jumps:
-                    tau = min(max(t0 + off, t_cur + guard), t1 - guard)
-                    if tau <= t_cur:
-                        # jump squeezed against the step end: fold into the
-                        # grid point instead of inserting a degenerate time
-                        s = target
-                        pending = True
-                        continue
-                    x = _advance(model, x, s, tau - t_cur, z_cur)
-                    s = target
-                    rec.push(tau, x, s, jump=True)
-                    t_cur = tau
-                    z_cur = gen.standard_normal(nd) if nd > 0 else None
-                x = _advance(model, x, s, t1 - t_cur, z_cur)
-                _check_finite(x, k, t1)
-                rec.push(t1, x, s, jump=pending)
-                if floor_active and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
-                    break
-                continue
-        x = _advance(model, x, s, dt, z)
+        if count > 0:
+            x, s, pending = _jump_step(model, x, s, k, dt, z, gen, lam, count, push_jump)
+        else:
+            x = _advance(model, x, s, dt, z)
         _check_finite(x, k, t1)
-        rec.push(t1, x, s)
+        rec.push(t1, x, s, jump=pending)
         if floor_active and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
             break
     return rec.trajectory()
@@ -288,15 +313,176 @@ def simulate(model: ModelSpec, x0: StateVector, cfg: SimConfig, rng) -> Trajecto
     ``RateBoundViolated`` name the step and time, and the replica when
     ``rng`` is an ``RngStream``.
     """
-    if x0.dim != model.dim:
-        raise ValueError(f"initial condition has dim {x0.dim}, model wants {model.dim}")
+    _check_dim(model, x0)
     run = _simulate_chain if model.family == "discrete_chain" else _simulate_diffusion
     try:
         return run(model, x0, cfg, as_generator(rng))
     except (NonFiniteState, RateBoundViolated) as exc:
-        if isinstance(rng, RngStream):  # the replica rule makes stream_id the replica
-            exc.args = (f"replica {rng.stream_id}: {exc}",)
+        _name_replica(exc, rng)
         raise
+
+
+def _check_dim(model, x0: StateVector):
+    if x0.dim != model.dim:
+        raise ValueError(f"initial condition has dim {x0.dim}, model wants {model.dim}")
+
+
+def _name_replica(exc, rng):
+    if isinstance(rng, RngStream):  # the replica rule makes stream_id the replica
+        exc.args = (f"replica {rng.stream_id}: {exc}",)
+
+
+def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig) -> list:
+    """Trajectories of the ``(k, ic, rng)`` entries of ``replicas`` (the list
+    ``replica_streams`` returns), in order, each bit for bit the path
+    ``simulate(model, ic, cfg, rng)`` gives.
+
+    A diffusion with more than one replica steps them in lockstep, as one
+    (n, dim) block through its batch-first callbacks.  Each replica draws
+    from its own generator at the same steps as ``simulate``; one whose
+    regime clock fires in a step takes that step alone by exact thinning,
+    and one that reaches the extinction floor stays frozen until the block
+    ends.  Discrete chains and single replicas run through ``simulate``.  A
+    failure is raised for the lowest replica that fails, as running the
+    replicas one after another would.
+    """
+    if model.family == "discrete_chain" or len(replicas) < 2:
+        return [simulate(model, ic, cfg, rng) for _, ic, rng in replicas]
+    for _, ic, _ in replicas:
+        _check_dim(model, ic)
+    return _simulate_block(model, replicas, cfg)
+
+
+def _simulate_block(model, replicas, cfg: SimConfig) -> list:
+    n, dim, nd, dt = len(replicas), model.dim, model.noise_dim, cfg.dt
+    n_steps = _step_count(cfg)
+    gens = [as_generator(rng) for _, _, rng in replicas]
+    clocks = [_clock(model, ic, cfg) for _, ic, _ in replicas]
+    lams = [lam for _, lam in clocks]
+    thin = [i for i in range(n) if lams[i] > 0.0]
+    starts = [s for s, _ in clocks]
+    # lanes without a regime run as regime 0 when another lane carries one
+    S = None if all(s is None for s in starts) else np.array(
+        [0 if s is None else s for s in starts], dtype=np.int64)
+    X = np.array([ic.x for _, ic, _ in replicas])
+    floor_on = model.extinction_distance(X, S) > cfg.floor_epsilon
+
+    alive = np.ones(n, dtype=bool)
+    watch = floor_on.copy()  # alive lanes the floor can stop
+    watching = bool(watch.any())
+    n_alive = n
+    last = [n_steps] * n  # grid index of each lane's final point
+    inserted = [[] for _ in range(n)]  # (grid index it precedes, t, x, s)
+    folded = [[] for _ in range(n)]  # grid indices carrying a folded jump
+    failed = None  # (lane, exception) of the lowest lane that failed
+    xs = [np.empty((_CHUNK, n, dim))]
+    xs[0][0] = X
+    ss = None if S is None else [np.empty((_CHUNK, n), dtype=np.int64)]
+    if ss is not None:
+        ss[0][0] = S
+
+    for k in range(n_steps):
+        r = k % _CHUNK
+        if r == 0:  # each live lane draws its chunks in the order simulate does
+            live = np.flatnonzero(alive).tolist()
+            if nd > 0:
+                zb = np.zeros((_CHUNK, n, nd))
+                for i in live:
+                    zb[:, i] = gens[i].standard_normal((_CHUNK, nd))
+            if thin:
+                cb = np.zeros((_CHUNK, n), dtype=np.int64)
+                for i in thin:
+                    if alive[i]:
+                        cb[:, i] = gens[i].poisson(lams[i] * dt, _CHUNK)
+                fired = cb.any(axis=1).tolist()
+        t1 = (k + 1) * dt
+        z = zb[r] if nd > 0 else None
+        xn = _advance(model, X, S, dt, z)
+        bad = []
+        if thin and fired[r]:
+            for i in np.flatnonzero(cb[r]).tolist():
+                if not alive[i]:
+                    continue
+                pts = inserted[i]
+                try:
+                    xn[i], S[i], pending = _jump_step(
+                        model, X[i], int(S[i]), k, dt, None if z is None else z[i],
+                        gens[i], lams[i], cb[r, i],
+                        lambda t, xj, sj, pts=pts, g=k + 1: pts.append((g, t, xj, sj)))
+                except RateBoundViolated as exc:
+                    bad.append((i, exc))
+                    continue
+                if pending:
+                    folded[i].append(k + 1)
+        if n_alive < n:
+            np.copyto(xn, X, where=~alive[:, None])  # stopped lanes stay frozen
+        if not math.isfinite(float(xn.sum())):
+            for i in np.flatnonzero(~np.isfinite(xn.sum(axis=1))).tolist():
+                try:
+                    _check_finite(xn[i], k, t1)
+                except NonFiniteState as exc:
+                    bad.append((i, exc))
+        if bad:
+            lane, exc = min(bad, key=lambda e: e[0])
+            if failed is None or lane < failed[0]:
+                failed = (lane, exc)
+            # serial order would never run the lanes after a failed one
+            alive[lane:] = False
+            watch &= alive
+            watching = bool(watch.any())
+            n_alive = int(alive.sum())
+            xn[lane:] = X[lane:]
+        X = xn
+        g = k + 1
+        if g % _CHUNK == 0:
+            xs.append(np.empty((_CHUNK, n, dim)))
+            if ss is not None:
+                ss.append(np.empty((_CHUNK, n), dtype=np.int64))
+        xs[-1][g % _CHUNK] = X
+        if ss is not None:
+            ss[-1][g % _CHUNK] = S
+        if watching:
+            hit = (model.extinction_distance(X, S) < cfg.floor_epsilon) & watch
+            if hit.any():
+                for i in np.flatnonzero(hit).tolist():
+                    last[i] = g
+                alive &= ~hit
+                watch &= ~hit
+                watching = bool(watch.any())
+                n_alive = int(alive.sum())
+        if n_alive == 0:
+            break
+
+    if failed is not None:
+        lane, exc = failed
+        _name_replica(exc, replicas[lane][2])
+        raise exc
+    return [_lane_path(xs, ss, i, last[i], dt, starts[i] is not None, inserted[i], folded[i])
+            for i in range(n)]
+
+
+def _lane_path(xs, ss, i, last, dt, track_regime, inserted, folded) -> Trajectory:
+    """Lane i's path: its grid points 0..last of the block record, with the
+    regime-jump points it inserted spliced in before the grid points they
+    precede."""
+    used = last // _CHUNK + 1
+    times = np.arange(last + 1) * dt
+    states = np.concatenate([c[:, i] for c in xs[:used]])[: last + 1]
+    regimes = None
+    if track_regime:
+        regimes = np.concatenate([c[:, i] for c in ss[:used]])[: last + 1]
+    at = np.array([p[0] for p in inserted], dtype=np.int64)
+    folded = np.array(folded, dtype=np.int64)
+    if inserted:
+        times = np.insert(times, at, [p[1] for p in inserted])
+        states = np.insert(states, at, np.array([p[2] for p in inserted]), axis=0)
+        if regimes is not None:
+            regimes = np.insert(regimes, at, [p[3] for p in inserted])
+    # an inserted point lands after those before it; a grid point after all
+    # inserted at or before its index
+    jumps = np.sort(np.concatenate([at + np.arange(at.size),
+                                    folded + np.searchsorted(at, folded, side="right")]))
+    return Trajectory(times, states, regimes, jumps)
 
 
 def poissonize(chain: ModelSpec, x0: StateVector, rng, t_final: float) -> Trajectory:

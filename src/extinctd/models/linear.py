@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import NonSquare
 from ..process_core import ModelSpec, StateVector
-from .base import ModelBundle, _norm, polar_blowup, power_suite
+from .base import ModelBundle, _matvec, _norm, polar_blowup, power_suite
 
 
 def make_linear_sde(A, Sigma=None) -> ModelBundle:
@@ -29,10 +29,10 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
     noisy = bool(np.any(Sigma != 0.0))
 
     def drift(x, s=None):
-        return x @ A.T
+        return _matvec(A, x)
 
     def diffusion(x, s=None):
-        return (x @ Sigma.T)[..., None]
+        return _matvec(Sigma, x)[..., None]
 
     model = ModelSpec(
         family="sde", dim=n, noise_dim=1 if noisy else 0,

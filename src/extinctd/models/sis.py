@@ -15,7 +15,7 @@ from ..criteria import CtmcGenerator, ctmc_stationary, sis_extinction_index, top
 from ..errors import InvalidAdjacency, NegativeRate
 from ..lyapunov import constant_suite
 from ..process_core import ModelSpec, StateVector, validate_rate_matrix
-from .base import ModelBundle, _norm, polar_blowup
+from .base import ModelBundle, _matvec, _norm, polar_blowup
 
 
 def _as_regime_array(value, m, name):
@@ -67,17 +67,33 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     if np.any(np.abs(probe) > 1e-14):
         raise NegativeRate("sigma_i(0, s) must vanish (extinction-set invariance)")
 
-    def _idx(s):
-        return 0 if s is None else s
+    shared = all(np.array_equal(a, adj[0]) for a in adj[1:])
 
+    def _regime(v, s):
+        """A(s) v, beta(s) and delta(s), shaped to broadcast against v; v is
+        one state or a batch, and s None, an int or an int array."""
+        k = 0 if s is None else s
+        if not isinstance(k, np.ndarray):
+            return _matvec(adj[k], v), beta[k], delta[k]
+        if shared:
+            b = _matvec(adj[0], v)
+        else:
+            b = np.empty_like(v)
+            for j in range(m):  # per regime, so no (n, N, N) stack of A(s)
+                b[k == j] = _matvec(adj[j], v[k == j])
+        return b, beta[k][:, None], delta[k][:, None]
+
+    # one state is the serial step kernel's path: it skips _regime's tuple
     def drift(x, s=None):
-        k = _idx(s)
-        b = adj[k] @ x
-        return beta[k] * b * (1.0 - x) - delta[k] * x
+        if x.ndim == 1:
+            k = 0 if s is None else s
+            return beta[k] * (adj[k] @ x) * (1.0 - x) - delta[k] * x
+        b, bet, dlt = _regime(x, s)
+        return bet * b * (1.0 - x) - dlt * x
 
     def diffusion_diag(x, s=None):
-        k = _idx(s)
-        b = adj[k] @ x
+        k = 0 if s is None else s
+        b = adj[k] @ x if x.ndim == 1 else _regime(x, s)[0]
         return sigma(x, k) * b * (1.0 - x)
 
     switching = m > 1
@@ -93,23 +109,13 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     )
 
     # unit coefficients at x = r v; psi is diagonal, like diffusion_diag
-    def _regime(v, s):
-        """A(s) v, beta(s) and delta(s), shaped to broadcast against v."""
-        k = _idx(s)
-        if isinstance(k, np.ndarray):
-            b = np.empty_like(v)
-            for j in range(m):  # per regime, so no (n, N, N) stack of A(s)
-                b[k == j] = v[k == j] @ adj[j]
-            return b, beta[k][:, None], delta[k][:, None]
-        return v @ adj[k], beta[k], delta[k]  # A(s) is symmetric: v A(s) = A(s) v
-
     def phi(v, r, s=None):
         b, bet, dlt = _regime(v, s)
         return bet * b * (1.0 - r * v) - dlt * v
 
     def psi(v, r, s=None):
         b = _regime(v, s)[0]
-        return sigma(r * v, _idx(s)) * b * (1.0 - r * v)
+        return sigma(r * v, 0 if s is None else s) * b * (1.0 - r * v)
 
     # sigma_i(0, s) = 0 (checked above), so the sphere flow is noise-free
     polar = polar_blowup(model, phi, psi, nonneg=True, quiet_boundary=True)

@@ -173,6 +173,13 @@ class ModelSpec:
     and ``n_regimes``, discrete chains ``step_map`` and ``noise_sampler``.
     ``extinction_distance`` is the model-declared d(., M0); it vanishes
     exactly on the extinction set.
+
+    The callbacks of a diffusion (``drift``, ``diffusion``/``diffusion_diag``,
+    ``domain_projection`` and ``extinction_distance``) are batch-first: on a
+    block of states ``(n, dim)`` with regimes ``None``, an int or an ``(n,)``
+    int array they return, bit for bit, the stacked per-row values, because
+    ``integrators.simulate_lanes`` steps a run's replicas as one block.
+    ``switch_rates`` and the chain callbacks take one state at a time.
     """
 
     family: str

@@ -117,23 +117,36 @@ def test_simulate_experiment_writes_trajectories(tmp_path):
 
 
 def test_simulate_experiment_follows_the_replica_rule(tmp_path):
-    # replica k = i * replicas + r starts from ics[i] on RngStream(seed, k)
-    raw = sis_config(tmp_path / "out", experiment="simulate",
-                     sim={"dt": 0.001, "t_final": 2.0},
-                     ics=[[0.4, 0.5], [0.2, 0.7]])
-    cfg = config_from_dict(raw)
-    run_experiment(cfg)
-    data = np.loadtxt(tmp_path / "out" / "trajectories.csv", delimiter=",",
-                      skiprows=1, ndmin=2)
-    assert sorted(set(data[:, 0])) == [0, 1, 2, 3]
-    bundle = make_bundle(cfg.model_name, cfg.model_params)
-    for rid, x0 in ((1, [0.4, 0.5]), (3, [0.2, 0.7])):
-        traj = simulate(bundle.model, StateVector(np.array(x0)),
-                        cfg.sim_config(), RngStream(raw["seed"], rid))
-        rows = data[data[:, 0] == rid]
-        np.testing.assert_array_equal(rows[:, 1], traj.times)
-        np.testing.assert_array_equal(rows[:, 2:4], traj.states)
-        np.testing.assert_array_equal(rows[:, 4], -1)
+    # replica k = i * replicas + r starts from ics[i] on RngStream(seed, k),
+    # and the rows of each replica are simulate()'s path bit for bit, regime
+    # jump points included
+    two_regime = {"adjacency": [[0, 1], [1, 0]], "beta": [0.2, 0.5],
+                  "delta": [1.2, 0.8], "Q": [[-1.0, 1.0], [2.0, -2.0]]}
+    for name, params, ics in (
+            ("one", None, [[0.4, 0.5], [0.2, 0.7]]),
+            ("two", two_regime, [{"x": [0.4, 0.5], "regime": 0},
+                                 {"x": [0.2, 0.7], "regime": 1}])):
+        raw = sis_config(tmp_path / name, experiment="simulate",
+                         sim={"dt": 0.001, "t_final": 2.0}, ics=ics)
+        if params is not None:
+            raw["model"]["params"] = params
+        cfg = config_from_dict(raw)
+        run_experiment(cfg)
+        data = np.loadtxt(tmp_path / name / "trajectories.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        assert sorted(set(data[:, 0])) == [0, 1, 2, 3]
+        bundle = make_bundle(cfg.model_name, cfg.model_params)
+        starts = cfg.state_vectors(None)
+        for rid in range(4):
+            traj = simulate(bundle.model, starts[rid // cfg.replicas], cfg.sim_config(),
+                            RngStream(raw["seed"], rid))
+            rows = data[data[:, 0] == rid]
+            np.testing.assert_array_equal(rows[:, 1], traj.times)
+            np.testing.assert_array_equal(rows[:, 2:4], traj.states)
+            np.testing.assert_array_equal(
+                rows[:, 4], -1 if traj.regimes is None else traj.regimes)
+        inserted = len(data) - 4 * 2001
+        assert inserted == 0 if params is None else inserted > 0
 
 
 def test_boundary_exponent_experiment(tmp_path):

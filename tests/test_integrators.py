@@ -11,10 +11,11 @@ from extinctd.integrators import (
     em_step,
     poissonize,
     simulate,
+    simulate_lanes,
     switch_step,
 )
 from extinctd.lyapunov import occupation_average
-from extinctd.process_core import ModelSpec, RngStream, StateVector
+from extinctd.process_core import ModelSpec, RngStream, StateVector, replica_streams
 
 
 def ou_model(theta=1.0, sigma=math.sqrt(2.0)):
@@ -91,6 +92,102 @@ def test_simulate_failures_name_the_replica_step_and_time():
         simulate(jumpy, StateVector(np.zeros(1), 0), cfg, RngStream(1, 2))
     step, t = re.search(r"in step (\d+) \(rates frozen at t = (.+)\)", str(info.value)).groups()
     assert float(t) == int(step) * 0.01
+
+
+def _assert_same_paths(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.states, b.states)
+        assert (a.regimes is None) == (b.regimes is None)
+        if b.regimes is not None:
+            np.testing.assert_array_equal(a.regimes, b.regimes)
+        np.testing.assert_array_equal(a.jumps, b.jumps)
+
+
+def test_simulate_lanes_equals_simulate_across_floor_stops(sis_k2):
+    ics = [StateVector(np.array(x)) for x in ([0.6, 0.25], [0.1, 0.05], [0.3, 0.3])]
+    cfg = SimConfig(dt=1e-3, t_final=30.0, floor_epsilon=1e-3)
+    replicas = replica_streams(ics, 2, 4)
+    want = [simulate(sis_k2.model, ic, cfg, rng) for _, ic, rng in replicas]
+    assert len({len(t.times) for t in want}) == len(want)  # every lane stops at its own step
+    assert all(t.duration < cfg.t_final for t in want)
+    _assert_same_paths(simulate_lanes(sis_k2.model, replicas, cfg), want)
+
+
+def test_simulate_lanes_splices_inserted_and_folded_jumps(monkeypatch):
+    # a wide time guard folds many jumps into grid points; fast switching
+    # inserts several points into one step
+    import extinctd.integrators as integrators
+
+    monkeypatch.setattr(integrators, "_TIME_GUARD", 0.3)
+    q = np.array([[-30.0, 30.0], [40.0, -40.0]])
+    m = ModelSpec(family="switching_diffusion", dim=1, noise_dim=1,
+                  drift=lambda x, s: -x * (1.0 + np.asarray(s, dtype=float)[..., None]),
+                  diffusion_diag=lambda x, s: 0.3 * x,
+                  switch_rates=lambda x: q, n_regimes=2,
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+    cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0)
+    replicas = replica_streams([StateVector(np.array([1.0]), 0),
+                                StateVector(np.array([0.5]), 1)], 2, 9)
+    want = [simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
+    on_grid = [np.isin(t.times[t.jumps], np.arange(201) * cfg.dt) for t in want]
+    assert all(g.any() and not g.all() for g in on_grid)
+    _assert_same_paths(simulate_lanes(m, replicas, cfg), want)
+
+
+def _serial_failure(model, replicas, cfg, exc_type):
+    with pytest.raises(exc_type) as info:
+        for _, ic, rng in replicas:
+            simulate(model, ic, cfg, rng)
+    return str(info.value)
+
+
+def test_simulate_lanes_raises_the_failure_serial_order_would():
+    # lane 3 blows up at step 2, lane 1 at step 4; replicas run one after
+    # another raise lane 1's error, and so must the lockstep block
+    m = ModelSpec(family="sde", dim=1, noise_dim=0,
+                  drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    cfg = SimConfig(dt=0.5, t_final=5.0)
+    ics = [StateVector(np.array([x])) for x in (-100.0, 0.0, -100.0, 1.0)]
+    replicas = replica_streams(ics, 1, 7)
+    message = _serial_failure(m, replicas, cfg, NonFiniteState)
+    assert re.match(r"^replica 1: non-finite state at step 4, t = 2\.5\b", message)
+    with pytest.raises(NonFiniteState) as info:
+        simulate_lanes(m, replicas, cfg)
+    assert str(info.value) == message
+
+    # the same rule for a rate bound that lane 3 breaks first
+    q = np.array([[-0.5, 0.5], [0.5, -0.5]])
+    jumpy = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0,
+                      drift=lambda x, s: np.ones_like(x),
+                      switch_rates=lambda x: q * (1.0 if x[0] < 1.0 else 10.0), n_regimes=2,
+                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    cfg = SimConfig(dt=0.01, t_final=50.0, max_rate_bound=1.0)
+    ics = [StateVector(np.array([x]), 0) for x in (-1e6, -1.0, -1e6, 2.0)]
+    replicas = replica_streams(ics, 1, 3)
+    message = _serial_failure(jumpy, replicas, cfg, RateBoundViolated)
+    step = lambda text: int(re.search(r"in step (\d+) ", text).group(1))
+    lane3 = _serial_failure(jumpy, replicas[3:], cfg, RateBoundViolated)
+    assert message.startswith("replica 1: ") and lane3.startswith("replica 3: ")
+    assert step(lane3) < step(message)
+    with pytest.raises(RateBoundViolated) as info:
+        simulate_lanes(jumpy, replicas, cfg)
+    assert str(info.value) == message
+
+
+def test_simulate_lanes_freezes_a_lane_at_the_floor():
+    # lane 0 stops at the floor near x = 0.1, where the drift is infinite;
+    # stepping it on would raise an error that no replica raises alone
+    m = ModelSpec(family="sde", dim=1, noise_dim=0,
+                  drift=lambda x, s: np.where(x < 0.15, np.inf, -1.0),
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+    cfg = SimConfig(dt=0.1, t_final=2.0, floor_epsilon=0.15)
+    replicas = replica_streams([StateVector(np.array([x])) for x in (0.3, 10.0)], 1, 0)
+    want = [simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
+    assert len(want[0].times) == 3 and len(want[1].times) == 21
+    _assert_same_paths(simulate_lanes(m, replicas, cfg), want)
 
 
 def test_ou_stationary_variance():

@@ -13,6 +13,7 @@ from extinctd.models import (
     make_ecological_discrete,
     make_kolmogorov,
     make_linear_sde,
+    make_logistic,
     make_lorenz,
     make_ricker,
     make_sis,
@@ -430,3 +431,43 @@ def test_sis_suite_constant_resolves_on_first_read(monkeypatch, params):
     assert bundle.suite.K == 1.0 + 1.5 * gv_max
     assert bundle.suite.K == 1.0 + 1.5 * gv_max
     assert len(calls) == m
+
+
+# -- the batch-first contract -----------------------------------------------------
+
+RING5 = [[0, 1, 0, 0, 1], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [1, 0, 0, 1, 0]]
+FULL5 = (np.ones((5, 5)) - np.eye(5)).tolist()
+Q2 = [[-1.0, 1.0], [2.0, -2.0]]
+
+CONTRACT_CASES = {
+    "sis-one-regime": lambda: (make_sis(FULL5, beta=0.3, delta=1.0), (-0.2, 1.2)),
+    "sis-two-regime-shared": lambda: (make_sis(FULL5, beta=[0.2, 0.5], delta=[1.2, 0.8], Q=Q2),
+                                      (-0.2, 1.2)),
+    "sis-two-regime": lambda: (make_sis([FULL5, RING5], beta=[0.2, 0.5], delta=[1.2, 0.8], Q=Q2),
+                               (-0.2, 1.2)),
+    "linear-noisy": lambda: (make_linear_sde(
+        [[-1.0, 0.7, 0.2, 0.0], [-0.4, -2.0, 0.3, 0.1], [0.5, 0.0, -1.5, 0.6], [0.1, -0.3, 0.2, -0.8]],
+        [[0.3, 0.2, 0.0, -0.1], [-0.1, 0.4, 0.2, 0.0], [0.0, 0.1, 0.3, 0.2], [0.2, 0.0, -0.1, 0.5]]),
+        (-2.0, 2.0)),
+    "lorenz-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.4), (-4.0, 4.0)),
+    "logistic-noisy": lambda: (make_logistic(0.1, 0.8), (-0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
+    # the lockstep engine steps replicas as one block; it equals simulate()
+    # only if each callback's block value is its per-row values, bit for bit
+    bundle, (lo, hi) = CONTRACT_CASES[case]()
+    model = bundle.model
+    gen = np.random.default_rng(31)
+    x = gen.uniform(lo, hi, size=(40, model.dim))
+    s = gen.integers(model.n_regimes, size=40) if model.n_regimes > 1 else None
+    names = [n for n in ("drift", "diffusion", "diffusion_diag", "domain_projection",
+                         "extinction_distance") if getattr(model, n) is not None]
+    for name in names:
+        f = getattr(model, name)
+        rows = np.stack([np.asarray(f(x[i], None if s is None else int(s[i])), dtype=float)
+                         for i in range(len(x))])
+        block = np.broadcast_to(np.asarray(f(x, s), dtype=float), rows.shape)
+        assert _bits(block.ravel()) == _bits(rows.ravel()), name
