@@ -6,15 +6,15 @@ all output files are formatted with 17 significant digits, which makes
 report.json byte-identical across reruns.  The thread count is accepted
 and ignored.
 
-The simulate and diagnostics runners step a diffusion's replicas in
-lockstep with ``integrators.simulate_lanes``, whose paths equal
-``simulate``'s bit for bit.  The slope runner still calls ``simulate`` once
+The simulate and diagnostics runners step the replicas of a batch-first
+diffusion in lockstep blocks with ``integrators.simulate_lanes``, whose
+paths equal ``simulate``'s bit for bit.  The slope runner still calls ``simulate`` once
 per replica through ``_map_indexed``, because perfbench's tracer counts
 those calls; once the tracer wraps ``simulate_lanes`` it can move too.  The
 boundary-exponent, criterion and robustness-scan runners go through
 ``boundary_exponent`` and ``invasion_rate``, which stay per replica: the
-blow-up and cylinder callbacks take one state at a time, and discrete
-chains draw their noise one sample at a time.
+sphere, cylinder and blow-up callbacks take one state at a time, and
+discrete chains draw their noise one sample at a time.
 
 Experiments: simulate, boundary-exponent, slope, criterion, robustness-scan,
 diagnostics.
@@ -220,7 +220,7 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 
     ``threads`` is ignored: the replica work holds the GIL, so a thread pool
     made runs slower, not faster.  The simulate and diagnostics runners step
-    their replicas as one block with ``simulate_lanes`` instead; the slope
+    their replicas in lockstep with ``simulate_lanes`` instead; the slope
     runner stays here while perfbench's tracer counts ``simulate`` calls.
     """
     return [fn(i) for i in range(count)]

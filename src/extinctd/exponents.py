@@ -129,8 +129,8 @@ def slope_experiment(model: ModelSpec, V: Callable, x0: StateVector,
                      cfg: SimConfig, reps: int, seed: int = 0,
                      window: float = 0.5) -> ExponentEstimate:
     """Replica-averaged trajectory slope with CI from the replica spread."""
-    slopes = [trajectory_slope(traj, V, window).point
-              for traj in simulate_lanes(model, replica_streams([x0], reps, seed), cfg)]
+    slopes = simulate_lanes(model, replica_streams([x0], reps, seed), cfg,
+                            lambda traj: trajectory_slope(traj, V, window).point)
     return _estimate(slopes, cfg.t_final, "trajectory_slope")
 
 
@@ -152,19 +152,18 @@ def extinction_fraction(model: ModelSpec, suite: LyapunovSuite,
     if suite.alpha_candidate is None:
         raise ValueError("suite.alpha_candidate must be set")
     alpha = suite.alpha_candidate
-    wins = 0
-    trajs = simulate_lanes(model, replica_streams(ics, reps, seed), cfg)
-    for traj in trajs:
+
+    def win(traj) -> bool:
         if _is_early(traj, cfg):
-            wins += 1
-            continue
+            return True
         try:
             est = trajectory_slope(traj, suite.V, window)
         except WindowTooShort:
-            continue
-        if est.point >= alpha - tol:
-            wins += 1
-    return wins / len(trajs)
+            return False
+        return est.point >= alpha - tol
+
+    wins = simulate_lanes(model, replica_streams(ics, reps, seed), cfg, win)
+    return sum(wins) / len(wins)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Time-stepping kernels: Euler-Maruyama, thinned regime jump clocks,
 discrete-chain stepping, and Poissonization of chains into continuous time.
 ``simulate`` runs one replica; ``simulate_lanes`` steps a run's replicas of
-a diffusion together as one block and gives the same paths bit for bit.
+a batch-first diffusion together in blocks and gives the same paths bit for
+bit.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -19,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteState, RateBoundViolated
-from .process_core import ModelSpec, RngStream, StateVector, Trajectory, as_generator
+from .process_core import ModelSpec, RngStream, StateVector, Trajectory, _matvec, as_generator
 
 _CHUNK = 4096
+_LANES = 64  # replicas per lockstep block: bounds the block record
 _TIME_GUARD = 1e-9  # minimum jump offset, as a fraction of dt
 
 
@@ -60,10 +62,8 @@ def _advance(model: ModelSpec, x, s, h, z):
         sq = math.sqrt(h)
         if model.diffusion_diag is not None:
             xn = xn + model.diffusion_diag(x, s) * (sq * z)
-        elif x.ndim == 1:
-            xn = xn + model.diffusion(x, s) @ (sq * z)
-        else:  # a matrix-vector product per row, as for one state
-            xn = xn + np.matmul(model.diffusion(x, s), (sq * z)[..., None])[..., 0]
+        else:
+            xn = xn + _matvec(model.diffusion(x, s), sq * z)
     return model.domain_projection(xn, s)
 
 
@@ -332,28 +332,38 @@ def _name_replica(exc, rng):
         exc.args = (f"replica {rng.stream_id}: {exc}",)
 
 
-def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig) -> list:
+def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> list:
     """Trajectories of the ``(k, ic, rng)`` entries of ``replicas`` (the list
     ``replica_streams`` returns), in order, each bit for bit the path
-    ``simulate(model, ic, cfg, rng)`` gives.
+    ``simulate(model, ic, cfg, rng)`` gives, or ``reduce`` of that path.
 
-    A diffusion with more than one replica steps them in lockstep, as one
-    (n, dim) block through its batch-first callbacks.  Each replica draws
-    from its own generator at the same steps as ``simulate``; one whose
-    regime clock fires in a step takes that step alone by exact thinning,
-    and one that reaches the extinction floor stays frozen until the block
-    ends.  Discrete chains and single replicas run through ``simulate``.  A
-    failure is raised for the lowest replica that fails, as running the
-    replicas one after another would.
+    The replicas of a ``batch_first`` model step in lockstep, in blocks of
+    at most ``_LANES`` (n, dim) states, lowest replicas first.  Each replica
+    draws from its own generator at the same steps as ``simulate``; one
+    whose regime clock fires in a step takes that step alone by exact
+    thinning, and one that reaches the extinction floor stays frozen until
+    its block ends.  Other models, discrete chains among them, and single
+    replicas run through ``simulate``.  ``reduce`` maps each path as it is
+    cut from its block's record, so a caller that keeps only a statistic of
+    each path holds one block's record and one path at a time.  A failure
+    is raised for the lowest replica that fails, as running the replicas
+    one after another would.
     """
-    if model.family == "discrete_chain" or len(replicas) < 2:
-        return [simulate(model, ic, cfg, rng) for _, ic, rng in replicas]
+    keep = (lambda traj: traj) if reduce is None else reduce
+    if not model.batch_first or len(replicas) < 2:
+        return [keep(simulate(model, ic, cfg, rng)) for _, ic, rng in replicas]
     for _, ic, _ in replicas:
         _check_dim(model, ic)
-    return _simulate_block(model, replicas, cfg)
+    n = len(replicas)
+    blocks = -(-n // _LANES)  # of near-equal size, so none is left with a few lanes
+    out = []
+    for b in range(blocks):
+        out += map(keep, _simulate_block(model, replicas[b * n // blocks:(b + 1) * n // blocks],
+                                         cfg))
+    return out
 
 
-def _simulate_block(model, replicas, cfg: SimConfig) -> list:
+def _simulate_block(model, replicas, cfg: SimConfig):
     n, dim, nd, dt = len(replicas), model.dim, model.noise_dim, cfg.dt
     n_steps = _step_count(cfg)
     gens = [as_generator(rng) for _, _, rng in replicas]
@@ -457,8 +467,10 @@ def _simulate_block(model, replicas, cfg: SimConfig) -> list:
         lane, exc = failed
         _name_replica(exc, replicas[lane][2])
         raise exc
-    return [_lane_path(xs, ss, i, last[i], dt, starts[i] is not None, inserted[i], folded[i])
-            for i in range(n)]
+    # cut one lane's path at a time, so a reducing caller holds one path
+    # beside the block record
+    return (_lane_path(xs, ss, i, last[i], dt, starts[i] is not None, inserted[i], folded[i])
+            for i in range(n))
 
 
 def _lane_path(xs, ss, i, last, dt, track_regime, inserted, folded) -> Trajectory:

@@ -150,13 +150,6 @@ def _norm(x):
     return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
 
 
-def _matvec(a, x):
-    """a @ x for one vector, or for each row of a batch bit for bit: the
-    stacked product keeps the matrix-vector kernel, where x @ a.T would take
-    the matrix-matrix one and round differently."""
-    return a @ x if x.ndim == 1 else np.matmul(a, x[..., None])[..., 0]
-
-
 def polar_blowup(model: ModelSpec, phi: Callable, psi: Callable,
                  nonneg: bool = False, quiet_boundary: bool = False) -> PolarFamily:
     """Derive V = -log|x|, H, Gamma V and the polar companions of ``model``.

@@ -17,7 +17,8 @@ def make_kolmogorov(n_species: int, f, g, noise_matrix,
                     weights=None) -> ModelBundle:
     """Kolmogorov SDE bundle with V = -sum w_i log x_i.
 
-    ``f`` and ``g`` map (..., n) states to (..., n) per-capita rates;
+    ``f`` and ``g`` map (..., n) states to (..., n) per-capita rates, each
+    row of a batch bit for bit as one state (the model is ``batch_first``);
     ``noise_matrix`` is the d x n mixing matrix A with Sigma = A^T A.
     """
     A = np.asarray(noise_matrix, dtype=float)
@@ -40,7 +41,7 @@ def make_kolmogorov(n_species: int, f, g, noise_matrix,
         drift=drift, diffusion=diffusion,
         domain_projection=lambda x, s=None: np.maximum(x, 0.0),
         extinction_distance=lambda x, s=None: np.min(np.asarray(x, dtype=float), axis=-1),
-        name="kolmogorov",
+        name="kolmogorov", batch_first=True,
     )
 
     h_parts = [kolmogorov_H(f, g, sigma, i) for i in range(n_species)]

@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonSquare
-from ..process_core import ModelSpec, StateVector
-from .base import ModelBundle, _matvec, _norm, polar_blowup, power_suite
+from ..process_core import ModelSpec, StateVector, _matvec
+from .base import ModelBundle, _norm, polar_blowup, power_suite
 
 
 def make_linear_sde(A, Sigma=None) -> ModelBundle:
@@ -38,7 +38,7 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
         family="sde", dim=n, noise_dim=1 if noisy else 0,
         drift=drift, diffusion=diffusion if noisy else None,
         extinction_distance=lambda x, s=None: _norm(x),
-        name="linear",
+        name="linear", batch_first=True,
     )
 
     # unit coefficients: F(r v) = r F(v) and G(r v) = r G(v)

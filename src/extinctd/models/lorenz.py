@@ -46,7 +46,7 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
         drift=drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
         extinction_distance=lambda u, s=None: np.sqrt(
             np.asarray(u)[..., 0] ** 2 + np.asarray(u)[..., 1] ** 2),
-        name="lorenz",
+        name="lorenz", batch_first=True,
     )
 
     def V(u, s=None):

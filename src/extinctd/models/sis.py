@@ -14,8 +14,8 @@ import numpy as np
 from ..criteria import CtmcGenerator, ctmc_stationary, sis_extinction_index, top_eigenvalue
 from ..errors import InvalidAdjacency, NegativeRate
 from ..lyapunov import constant_suite
-from ..process_core import ModelSpec, StateVector, validate_rate_matrix
-from .base import ModelBundle, _matvec, _norm, polar_blowup
+from ..process_core import ModelSpec, StateVector, _matvec, validate_rate_matrix
+from .base import ModelBundle, _norm, polar_blowup
 
 
 def _as_regime_array(value, m, name):
@@ -37,7 +37,9 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     is the per-node noise intensity sigma_i(x_i, s) and must vanish at
     x_i = 0 (default: sigma_scale * x_i, which keeps nodes in [0,1] and the
     origin exactly invariant).  A custom sigma must broadcast over batched
-    x and accept s as None (single regime), an int, or an int array.
+    x and accept s as None (single regime), an int, or an int array, and
+    give each row of a batch its one-state value bit for bit: the model is
+    ``batch_first``.
     """
     adj = np.asarray(adjacency, dtype=float)
     if adj.ndim == 2:
@@ -67,34 +69,23 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     if np.any(np.abs(probe) > 1e-14):
         raise NegativeRate("sigma_i(0, s) must vanish (extinction-set invariance)")
 
-    shared = all(np.array_equal(a, adj[0]) for a in adj[1:])
-
     def _regime(v, s):
         """A(s) v, beta(s) and delta(s), shaped to broadcast against v; v is
         one state or a batch, and s None, an int or an int array."""
         k = 0 if s is None else s
         if not isinstance(k, np.ndarray):
             return _matvec(adj[k], v), beta[k], delta[k]
-        if shared:
-            b = _matvec(adj[0], v)
-        else:
-            b = np.empty_like(v)
-            for j in range(m):  # per regime, so no (n, N, N) stack of A(s)
-                b[k == j] = _matvec(adj[j], v[k == j])
+        # A(j) v for every regime j and row, then row i's A(s_i) v_i: m
+        # products per row, but no (n, N, N) stack of A(s)
+        b = np.matmul(adj[:, None], v[..., None])[k, np.arange(len(k)), :, 0]
         return b, beta[k][:, None], delta[k][:, None]
 
-    # one state is the serial step kernel's path: it skips _regime's tuple
     def drift(x, s=None):
-        if x.ndim == 1:
-            k = 0 if s is None else s
-            return beta[k] * (adj[k] @ x) * (1.0 - x) - delta[k] * x
         b, bet, dlt = _regime(x, s)
         return bet * b * (1.0 - x) - dlt * x
 
     def diffusion_diag(x, s=None):
-        k = 0 if s is None else s
-        b = adj[k] @ x if x.ndim == 1 else _regime(x, s)[0]
-        return sigma(x, k) * b * (1.0 - x)
+        return sigma(x, 0 if s is None else s) * _regime(x, s)[0] * (1.0 - x)
 
     switching = m > 1
     model = ModelSpec(
@@ -105,7 +96,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         n_regimes=m,
         domain_projection=lambda x, s=None: np.minimum(1.0, np.maximum(0.0, x)),
         extinction_distance=lambda x, s=None: _norm(x),
-        name="sis",
+        name="sis", batch_first=True,
     )
 
     # unit coefficients at x = r v; psi is diagonal, like diffusion_diag

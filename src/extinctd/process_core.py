@@ -163,6 +163,13 @@ def _identity_projection(x, s):
     return x
 
 
+def _matvec(a, x):
+    """a @ x for one vector, or for each row of a batch bit for bit: the
+    stacked product keeps the matrix-vector kernel, where x @ a.T would take
+    the matrix-matrix one and round differently."""
+    return a @ x if x.ndim == 1 else np.matmul(a, x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A simulatable Markov process family.
@@ -174,12 +181,16 @@ class ModelSpec:
     ``extinction_distance`` is the model-declared d(., M0); it vanishes
     exactly on the extinction set.
 
-    The callbacks of a diffusion (``drift``, ``diffusion``/``diffusion_diag``,
-    ``domain_projection`` and ``extinction_distance``) are batch-first: on a
-    block of states ``(n, dim)`` with regimes ``None``, an int or an ``(n,)``
-    int array they return, bit for bit, the stacked per-row values, because
-    ``integrators.simulate_lanes`` steps a run's replicas as one block.
-    ``switch_rates`` and the chain callbacks take one state at a time.
+    ``batch_first`` declares that the callbacks of a diffusion (``drift``,
+    ``diffusion``/``diffusion_diag``, ``domain_projection`` and
+    ``extinction_distance``) take a block of states ``(n, dim)`` with
+    regimes ``None``, an int or an ``(n,)`` int array, and return, bit for
+    bit, the stacked per-row values.  ``integrators.simulate_lanes`` steps
+    the replicas of such a model in lockstep blocks, and those of any other
+    model one at a time.  The main models of the SIS, linear, Lorenz and
+    Kolmogorov bundles declare it; their polar, cylinder and sphere
+    companions take one state at a time.  ``switch_rates`` and the chain
+    callbacks always do.
     """
 
     family: str
@@ -195,6 +206,7 @@ class ModelSpec:
     noise_sampler: Optional[Callable] = None
     domain_projection: Callable = _identity_projection
     name: str = ""
+    batch_first: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -222,6 +234,8 @@ class ModelSpec:
                 raise MissingField("discrete_chain requires step_map and noise_sampler")
             if self.drift is not None or self.diffusion is not None:
                 raise MissingField("drift/diffusion are diffusion-only fields")
+            if self.batch_first:
+                raise MissingField("batch_first is a diffusion-only field")
 
 
 def distance_to_extinction(model: ModelSpec, state: StateVector) -> float:

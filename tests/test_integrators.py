@@ -15,6 +15,7 @@ from extinctd.integrators import (
     switch_step,
 )
 from extinctd.lyapunov import occupation_average
+from extinctd.models import make_linear_sde
 from extinctd.process_core import ModelSpec, RngStream, StateVector, replica_streams
 
 
@@ -68,7 +69,8 @@ def test_simulate_nonfinite_names_the_step_and_time():
     # x climbs by dt = 0.5 per step; step 4 starts at x = 2 and blows up
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
+                  batch_first=True)
     cfg = SimConfig(dt=0.5, t_final=5.0)
     with pytest.raises(NonFiniteState, match=r"at step 4, t = 2\.5\b"):
         simulate(m, StateVector(np.array([0.0])), cfg, RngStream(0))
@@ -77,7 +79,8 @@ def test_simulate_nonfinite_names_the_step_and_time():
 def test_simulate_failures_name_the_replica_step_and_time():
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
+                  batch_first=True)
     cfg = SimConfig(dt=0.5, t_final=5.0)
     with pytest.raises(NonFiniteState, match=r"^replica 3: non-finite state at step 4, t = 2\.5\b"):
         simulate(m, StateVector(np.array([0.0])), cfg, RngStream(7, 3))
@@ -126,7 +129,8 @@ def test_simulate_lanes_splices_inserted_and_folded_jumps(monkeypatch):
                   drift=lambda x, s: -x * (1.0 + np.asarray(s, dtype=float)[..., None]),
                   diffusion_diag=lambda x, s: 0.3 * x,
                   switch_rates=lambda x: q, n_regimes=2,
-                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]),
+                  batch_first=True)
     cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0)
     replicas = replica_streams([StateVector(np.array([1.0]), 0),
                                 StateVector(np.array([0.5]), 1)], 2, 9)
@@ -148,7 +152,8 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     # another raise lane 1's error, and so must the lockstep block
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
+                  batch_first=True)
     cfg = SimConfig(dt=0.5, t_final=5.0)
     ics = [StateVector(np.array([x])) for x in (-100.0, 0.0, -100.0, 1.0)]
     replicas = replica_streams(ics, 1, 7)
@@ -163,7 +168,8 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     jumpy = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0,
                       drift=lambda x, s: np.ones_like(x),
                       switch_rates=lambda x: q * (1.0 if x[0] < 1.0 else 10.0), n_regimes=2,
-                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
+                      batch_first=True)
     cfg = SimConfig(dt=0.01, t_final=50.0, max_rate_bound=1.0)
     ics = [StateVector(np.array([x]), 0) for x in (-1e6, -1.0, -1e6, 2.0)]
     replicas = replica_streams(ics, 1, 3)
@@ -182,12 +188,48 @@ def test_simulate_lanes_freezes_a_lane_at_the_floor():
     # stepping it on would raise an error that no replica raises alone
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x < 0.15, np.inf, -1.0),
-                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]),
+                  batch_first=True)
     cfg = SimConfig(dt=0.1, t_final=2.0, floor_epsilon=0.15)
     replicas = replica_streams([StateVector(np.array([x])) for x in (0.3, 10.0)], 1, 0)
     want = [simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
     assert len(want[0].times) == 3 and len(want[1].times) == 21
     _assert_same_paths(simulate_lanes(m, replicas, cfg), want)
+
+
+def test_simulate_lanes_steps_blocks_in_replica_order(monkeypatch, sis_k2):
+    # replicas go in near-equal blocks, lowest first; reduce sees each path
+    import extinctd.integrators as integrators
+
+    blocks = []
+    step_block = integrators._simulate_block
+
+    def spy(model, replicas, cfg):
+        blocks.append([k for k, _, _ in replicas])
+        return step_block(model, replicas, cfg)
+
+    monkeypatch.setattr(integrators, "_simulate_block", spy)
+    monkeypatch.setattr(integrators, "_LANES", 3)
+    cfg = SimConfig(dt=1e-3, t_final=1.0)
+    replicas = replica_streams([StateVector(np.array([0.6, 0.25]))], 7, 2)
+    want = [simulate(sis_k2.model, ic, cfg, rng) for _, ic, rng in replicas]
+    _assert_same_paths(simulate_lanes(sis_k2.model, replicas, cfg), want)
+    assert blocks == [[0, 1], [2, 3], [4, 5, 6]]
+    final = simulate_lanes(sis_k2.model, replicas, cfg, lambda t: t.states[-1].tolist())
+    assert final == [t.states[-1].tolist() for t in want]
+
+
+def test_simulate_lanes_runs_specs_without_batch_first_one_at_a_time(sis_switching,
+                                                                      lorenz_noisy):
+    # the sphere and cylinder boundaries take one state at a time; stepped
+    # as a block, the sphere projection would share one norm across lanes
+    linear = make_linear_sde([[-1.0, 0.7], [-0.4, -2.0]], [[0.3, 0.2], [-0.1, 0.4]])
+    cfg = SimConfig(dt=0.01, t_final=2.0)
+    for bundle in (sis_switching, linear, lorenz_noisy):
+        assert bundle.model.batch_first and not bundle.boundary.batch_first
+        replicas = replica_streams([bundle.boundary_ic], 2, 5)
+        want = [simulate(bundle.boundary, ic, cfg, rng) for _, ic, rng in replicas]
+        _assert_same_paths(simulate_lanes(bundle.boundary, replicas, cfg), want)
 
 
 def test_ou_stationary_variance():

@@ -460,6 +460,7 @@ def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
     # only if each callback's block value is its per-row values, bit for bit
     bundle, (lo, hi) = CONTRACT_CASES[case]()
     model = bundle.model
+    assert model.batch_first
     gen = np.random.default_rng(31)
     x = gen.uniform(lo, hi, size=(40, model.dim))
     s = gen.integers(model.n_regimes, size=40) if model.n_regimes > 1 else None

@@ -116,6 +116,9 @@ def test_model_spec_field_validation():
                   drift=lambda x, s: -x)
     with pytest.raises(UnknownModel):
         ModelSpec(family="pde", dim=1, extinction_distance=dist)
+    with pytest.raises(MissingField):
+        ModelSpec(family="discrete_chain", dim=1, extinction_distance=dist,
+                  step_map=lambda x, xi: x, noise_sampler=lambda gen: 0.0, batch_first=True)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=5.0),
