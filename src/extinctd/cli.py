@@ -6,15 +6,16 @@ all output files are formatted with 17 significant digits, which makes
 report.json byte-identical across reruns.  The thread count is accepted
 and ignored.
 
-The simulate and diagnostics runners step the replicas of a batch-first
-diffusion in lockstep blocks with ``integrators.simulate_lanes``, whose
-paths equal ``simulate``'s bit for bit.  The slope runner still calls ``simulate`` once
-per replica through ``_map_indexed``, because perfbench's tracer counts
-those calls; once the tracer wraps ``simulate_lanes`` it can move too.  The
-boundary-exponent, criterion and robustness-scan runners go through
-``boundary_exponent`` and ``invasion_rate``, which stay per replica: the
-sphere, cylinder and blow-up callbacks take one state at a time, and
-discrete chains draw their noise one sample at a time.
+The simulate and diagnostics runners step the replicas of a discrete chain
+or of a batch-first diffusion in lockstep blocks with
+``integrators.simulate_lanes``, whose paths equal ``simulate``'s bit for
+bit.  So do ``boundary_exponent`` and ``invasion_rate``, which the
+boundary-exponent, criterion and robustness-scan runners call; of the
+boundary models only the SIS and linear spheres, whose callbacks take one
+state at a time, run one replica after another.  The slope runner still
+calls ``simulate`` once per replica through ``_map_indexed``, because
+perfbench's tracer counts those calls; once the tracer wraps
+``simulate_lanes`` it can move too.
 
 Experiments: simulate, boundary-exponent, slope, criterion, robustness-scan,
 diagnostics.

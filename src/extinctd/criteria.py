@@ -196,13 +196,13 @@ def invasion_rate(boundary_model, species_index: int, H_i: Callable, ics,
     r_i means species i can invade the boundary community.
     """
     from .exponents import _estimate
-    from .integrators import simulate
+    from .integrators import simulate_lanes
     from .lyapunov import occupation_average
 
     burn = cfg.t_final * 0.1 if burn_in is None else burn_in
     neg_h = lambda x, s=None: -np.asarray(H_i(x, s), dtype=float)
-    vals = [occupation_average(simulate(boundary_model, ic, cfg, rng), neg_h, burn)
-            for _, ic, rng in replica_streams(ics, reps, seed)]
+    vals = simulate_lanes(boundary_model, replica_streams(ics, reps, seed), cfg,
+                          lambda path: occupation_average(path, neg_h, burn))
     return _estimate(vals, cfg.t_final, "boundary_average")
 
 

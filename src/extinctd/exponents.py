@@ -13,7 +13,8 @@ import numpy as np
 
 from .criteria import eigenvalues
 from .errors import WindowTooShort
-from .integrators import SimConfig, simulate, simulate_lanes
+# simulate is not called here; perfbench's tracer test finds it under this name
+from .integrators import SimConfig, simulate, simulate_lanes  # noqa: F401
 from .lyapunov import LyapunovSuite, eval_along, occupation_average
 from .process_core import ModelSpec, StateVector, Trajectory, replica_streams
 
@@ -92,8 +93,8 @@ def boundary_exponent(boundary_model: ModelSpec, H: Callable,
     replicas = replica_streams(ics, reps, seed)
     if boundary_model.family == "sde" and boundary_model.noise_dim == 0:
         replicas = replicas[::reps]  # every replica of an ic is the same path
-    vals = [occupation_average(simulate(boundary_model, ic, cfg, rng), H, burn)
-            for _, ic, rng in replicas]
+    vals = simulate_lanes(boundary_model, replicas, cfg,
+                          lambda path: occupation_average(path, H, burn))
     per_ic = np.broadcast_to(np.reshape(vals, (len(ics), -1)), (len(ics), reps))
     means = [v.mean() for v in per_ic]
     argmin = int(np.argmin(means))

@@ -1,8 +1,8 @@
 """Time-stepping kernels: Euler-Maruyama, thinned regime jump clocks,
 discrete-chain stepping, and Poissonization of chains into continuous time.
 ``simulate`` runs one replica; ``simulate_lanes`` steps a run's replicas of
-a batch-first diffusion together in blocks and gives the same paths bit for
-bit.
+a batch-first diffusion or of a discrete chain together in blocks and gives
+the same paths bit for bit.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteState, RateBoundViolated
+from .errors import ExtinctdError, NonFiniteState, RateBoundViolated
 from .process_core import ModelSpec, RngStream, StateVector, Trajectory, _matvec, as_generator
 
 _CHUNK = 4096
@@ -287,36 +287,22 @@ def _simulate_diffusion(model, x0: StateVector, cfg: SimConfig, gen) -> Trajecto
     return rec.trajectory()
 
 
-def _simulate_chain(model, x0: StateVector, cfg: SimConfig, gen) -> Trajectory:
-    n_steps = int(round(cfg.t_final))
-    x = x0.x.copy()
-    rec = _Recorder(model.dim, n_steps + 1, False)
-    rec.push(0.0, x, None)
-    floor_active = float(model.extinction_distance(x, None)) > cfg.floor_epsilon
-    for k in range(n_steps):
-        xi = model.noise_sampler(gen)
-        x = model.domain_projection(np.asarray(model.step_map(x, xi), dtype=float), None)
-        _check_finite(x, k, float(k + 1))
-        rec.push(float(k + 1), x, None)
-        if floor_active and float(model.extinction_distance(x, None)) < cfg.floor_epsilon:
-            break
-    return rec.trajectory()
-
-
 def simulate(model: ModelSpec, x0: StateVector, cfg: SimConfig, rng) -> Trajectory:
     """Run a model until t_final, or until the extinction floor is reached.
 
     Diffusions are recorded on the dt grid plus all regime jump times;
     discrete chains use one time unit per step (see ``poissonize`` for the
-    continuous-time embedding).  Equal (seed, stream_id, model, dt, t_final)
-    reproduce bit-identical trajectories.  ``NonFiniteState`` and
-    ``RateBoundViolated`` name the step and time, and the replica when
-    ``rng`` is an ``RngStream``.
+    continuous-time embedding) and run as a block of one lane.  Equal (seed,
+    stream_id, model, dt, t_final) reproduce bit-identical trajectories.
+    ``NonFiniteState``, ``RateBoundViolated`` and a toolkit error raised by a
+    chain's ``step_map`` name the step and time, and the replica when ``rng``
+    is an ``RngStream``.
     """
     _check_dim(model, x0)
-    run = _simulate_chain if model.family == "discrete_chain" else _simulate_diffusion
+    if model.family == "discrete_chain":
+        return next(_simulate_block(model, [(0, x0, rng)], cfg))
     try:
-        return run(model, x0, cfg, as_generator(rng))
+        return _simulate_diffusion(model, x0, cfg, as_generator(rng))
     except (NonFiniteState, RateBoundViolated) as exc:
         _name_replica(exc, rng)
         raise
@@ -328,7 +314,8 @@ def _check_dim(model, x0: StateVector):
 
 
 def _name_replica(exc, rng):
-    if isinstance(rng, RngStream):  # the replica rule makes stream_id the replica
+    if isinstance(rng, RngStream) and isinstance(exc, ExtinctdError):
+        # the replica rule makes stream_id the replica
         exc.args = (f"replica {rng.stream_id}: {exc}",)
 
 
@@ -337,20 +324,24 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     ``replica_streams`` returns), in order, each bit for bit the path
     ``simulate(model, ic, cfg, rng)`` gives, or ``reduce`` of that path.
 
-    The replicas of a ``batch_first`` model step in lockstep, in blocks of
-    at most ``_LANES`` (n, dim) states, lowest replicas first.  Each replica
-    draws from its own generator at the same steps as ``simulate``; one
-    whose regime clock fires in a step takes that step alone by exact
-    thinning, and one that reaches the extinction floor stays frozen until
-    its block ends.  Other models, discrete chains among them, and single
-    replicas run through ``simulate``.  ``reduce`` maps each path as it is
-    cut from its block's record, so a caller that keeps only a statistic of
-    each path holds one block's record and one path at a time.  A failure
-    is raised for the lowest replica that fails, as running the replicas
-    one after another would.
+    The replicas of a discrete chain or of a ``batch_first`` diffusion step
+    in lockstep, in blocks of at most ``_LANES`` (n, dim) states, lowest
+    replicas first.  Each replica draws from its own generator in the order
+    ``simulate`` does: a diffusion lane its chunks of normals and regime
+    clock counts, a chain lane its next chunk of ``noise_sampler(gen, size)``
+    draws, never more than the steps left.  A lane whose regime clock fires
+    in a step takes that step alone by exact thinning, and one that reaches
+    the extinction floor stays frozen until its block ends.  Other models
+    and single replicas run through ``simulate``.  ``reduce`` maps each path
+    as it is cut from its block's record, so a caller that keeps only a
+    statistic of each path holds one block's record and one path at a time.
+    A failure is raised for the lowest replica that fails, after the paths
+    of the replicas below it are reduced, as running the replicas one after
+    another would.
     """
     keep = (lambda traj: traj) if reduce is None else reduce
-    if not model.batch_first or len(replicas) < 2:
+    lockstep = model.family == "discrete_chain" or model.batch_first
+    if not lockstep or len(replicas) < 2:
         return [keep(simulate(model, ic, cfg, rng)) for _, ic, rng in replicas]
     for _, ic, _ in replicas:
         _check_dim(model, ic)
@@ -364,10 +355,18 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
 
 
 def _simulate_block(model, replicas, cfg: SimConfig):
-    n, dim, nd, dt = len(replicas), model.dim, model.noise_dim, cfg.dt
-    n_steps = _step_count(cfg)
+    """Step the replicas of one block in lockstep and return a generator of
+    their paths in replica order, which raises the lowest failing replica's
+    error after the paths of the replicas below it."""
+    n, dim = len(replicas), model.dim
+    chain = model.family == "discrete_chain"
+    if chain:  # one time unit per step, and no regime
+        n_steps, dt, nd = int(round(cfg.t_final)), 1.0, 0
+        clocks = [(None, 0.0)] * n
+    else:
+        n_steps, dt, nd = _step_count(cfg), cfg.dt, model.noise_dim
+        clocks = [_clock(model, ic, cfg) for _, ic, _ in replicas]
     gens = [as_generator(rng) for _, _, rng in replicas]
-    clocks = [_clock(model, ic, cfg) for _, ic, _ in replicas]
     lams = [lam for _, lam in clocks]
     thin = [i for i in range(n) if lams[i] > 0.0]
     starts = [s for s, _ in clocks]
@@ -395,6 +394,8 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         r = k % _CHUNK
         if r == 0:  # each live lane draws its chunks in the order simulate does
             live = np.flatnonzero(alive).tolist()
+            if chain:
+                xib = _chain_noise(model, gens, live, n, min(_CHUNK, n_steps - k))
             if nd > 0:
                 zb = np.zeros((_CHUNK, n, nd))
                 for i in live:
@@ -406,9 +407,12 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                         cb[:, i] = gens[i].poisson(lams[i] * dt, _CHUNK)
                 fired = cb.any(axis=1).tolist()
         t1 = (k + 1) * dt
-        z = zb[r] if nd > 0 else None
-        xn = _advance(model, X, S, dt, z)
-        bad = []
+        if chain:
+            xn, bad = _chain_step(model, X, xib[r], alive, k, t1)
+        else:
+            z = zb[r] if nd > 0 else None
+            xn = _advance(model, X, S, dt, z)
+            bad = []
         if thin and fired[r]:
             for i in np.flatnonzero(cb[r]).tolist():
                 if not alive[i]:
@@ -463,14 +467,54 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         if n_alive == 0:
             break
 
-    if failed is not None:
-        lane, exc = failed
-        _name_replica(exc, replicas[lane][2])
-        raise exc
     # cut one lane's path at a time, so a reducing caller holds one path
     # beside the block record
-    return (_lane_path(xs, ss, i, last[i], dt, starts[i] is not None, inserted[i], folded[i])
-            for i in range(n))
+    def paths():
+        for i in range(n if failed is None else failed[0]):
+            yield _lane_path(xs, ss, i, last[i], dt, starts[i] is not None, inserted[i], folded[i])
+        if failed is not None:
+            lane, exc = failed
+            _name_replica(exc, replicas[lane][2])
+            raise exc
+
+    return paths()
+
+
+def _chain_noise(model, gens, live, n, size):
+    """A (size, n, ...) block of chain noise: each live lane's next ``size``
+    draws of ``noise_sampler`` from its own generator, zeros for the rest."""
+    block = None
+    for i in live:
+        draws = np.asarray(model.noise_sampler(gens[i], size))
+        if draws.shape[:1] != (size,):
+            raise ValueError(f"noise_sampler(gen, {size}) gave shape {draws.shape}, "
+                             f"not {size} draws on a leading axis")
+        if block is None:
+            block = np.zeros((size, n) + draws.shape[1:], dtype=draws.dtype)
+        block[:, i] = draws
+    return block
+
+
+def _chain_step(model, X, xi, alive, k, t):
+    """Chain step k (ending at time t) of block X with per-lane noise xi.
+    Returns (next block, failures): if the block step raises, the live lanes
+    step one at a time, as they would alone, up to the first that raises; its
+    (lane, exception) is the failure, and the lanes from it on keep X."""
+    def one(x, e):
+        return model.domain_projection(np.asarray(model.step_map(x, e), dtype=float), None)
+
+    try:
+        return one(X, xi), []
+    except Exception:  # any error is the failing lane's, raised in replica order
+        xn = X.copy()
+        for i in np.flatnonzero(alive).tolist():
+            try:
+                xn[i] = one(X[i], xi[i])
+            except Exception as exc:
+                if isinstance(exc, ExtinctdError):
+                    exc.args = (f"{exc} at step {k}, t = {t!r}",)
+                return xn, [(i, exc)]
+        return xn, []  # only stopped lanes raised
 
 
 def _lane_path(xs, ss, i, last, dt, track_regime, inserted, folded) -> Trajectory:

@@ -20,7 +20,7 @@ from .base import ModelBundle, calibrate_suite_constant
 def _draw_bank(noise_sampler, inner_mc, antithetic, seed):
     gen = np.random.default_rng(seed)
     half = inner_mc // 2 if antithetic else inner_mc
-    draws = np.asarray([noise_sampler(gen) for _ in range(half)], dtype=float)
+    draws = np.asarray(noise_sampler(gen, half), dtype=float)
     if antithetic:
         draws = np.concatenate([draws, -draws])
     return draws
@@ -49,7 +49,13 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
                              alpha_candidate=None) -> ModelBundle:
     """Bundle a multiplicative chain with its log-Lyapunov suite.
 
-    ``F(x, xi) -> (n,)`` must be strictly positive.  ``log_F_batch`` may
+    ``F(x, xi) -> (n,)`` must be strictly positive.  Like the chain's
+    ``step_map``, it takes one state with one draw, or a block ``(m, n)`` of
+    states with ``(m, ...)`` draws and gives the stacked per-row values bit
+    for bit.  ``noise_sampler(gen)`` gives one draw and
+    ``noise_sampler(gen, size)`` gives ``size`` draws stacked on a leading
+    axis, equal to as many single draws and leaving ``gen`` in the same
+    state, as a numpy Generator's sized draws do.  ``log_F_batch`` may
     supply a vectorized ``(x, xi_bank) -> (len(bank), n)`` evaluation of
     log F for fast inner Monte Carlo; otherwise a loop fallback is used.
     ``Upsilon`` is the user-asserted drift function with
@@ -166,13 +172,13 @@ def make_ricker(r: float, sigma: float, inner_mc: int = 10_000,
     """One-species Ricker chain X' = X exp(r - X + sigma xi), xi ~ N(0,1)."""
 
     def F(x, xi):
-        return np.exp(r - x + sigma * np.asarray(xi, dtype=float))
+        return np.exp(r - x + sigma * np.asarray(xi, dtype=float)[..., None])
 
     def log_F_batch(x, xi_bank):
         return (r - x[None, :]) + sigma * np.asarray(xi_bank)[:, None]
 
     bundle = make_ecological_discrete(
-        1, F, lambda gen: float(gen.standard_normal()),
+        1, F, lambda gen, size=None: gen.standard_normal(size),
         inner_mc=inner_mc, h_seed=h_seed, log_F_batch=log_F_batch,
         alpha_candidate=-r if r < 0 else None)
     bundle.params.update({"r": r, "sigma": sigma})

@@ -96,15 +96,17 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
     # boundary: the (theta, z) cylinder with R frozen at zero, where
     # H(theta, z) = 1 - (z/2) sin(2 theta) and its occupation average is -lambda
     def cyl_drift(u, s=None):
-        th, z = u
-        return np.array([1.0 - z * math.sin(th) ** 2, -gamma * (z - z_star)])
+        th, z = u.T
+        # float_power keeps libm's pow, as math.sin(th) ** 2 did; a block's
+        # ** 2 squares instead, which rounds differently for about 0.1% of th
+        return np.array([1.0 - z * np.float_power(np.sin(th), 2), -gamma * (z - z_star)]).T
 
     cyl_noise = np.array([[0.0], [alpha0]])
     boundary = ModelSpec(
         family="sde", dim=2, noise_dim=1 if noisy else 0,
         drift=cyl_drift, diffusion=(lambda u, s=None: cyl_noise) if noisy else None,
         extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
-        name="lorenz-cylinder",
+        name="lorenz-cylinder", batch_first=True,
     )
 
     def boundary_H(u, s=None):

@@ -187,10 +187,20 @@ class ModelSpec:
     regimes ``None``, an int or an ``(n,)`` int array, and return, bit for
     bit, the stacked per-row values.  ``integrators.simulate_lanes`` steps
     the replicas of such a model in lockstep blocks, and those of any other
-    model one at a time.  The main models of the SIS, linear, Lorenz and
-    Kolmogorov bundles declare it; their polar, cylinder and sphere
-    companions take one state at a time.  ``switch_rates`` and the chain
-    callbacks always do.
+    diffusion one at a time.  The main models of the SIS, linear, Lorenz and
+    Kolmogorov bundles and the Lorenz cylinder declare it; the polar sphere
+    and blow-up specs and the Lorenz blow-up take one state at a time.
+    ``switch_rates`` always does.
+
+    A discrete chain is always stepped in blocks, so its callbacks must
+    take blocks: ``step_map(x, xi)`` takes one state with one draw, or a
+    block ``(n, dim)`` with ``(n, ...)`` draws, and returns the stacked
+    per-row values bit for bit, as ``domain_projection`` and
+    ``extinction_distance`` (with regime ``None``) do.
+    ``noise_sampler(gen)`` returns one draw; ``noise_sampler(gen, size)``
+    returns ``size`` draws stacked on a leading axis, equal to ``size``
+    single draws and leaving ``gen`` in the same state, as a numpy
+    Generator's sized draws do.
     """
 
     family: str

@@ -143,7 +143,7 @@ def test_invasion_rate_trivial_multiplier():
     from extinctd.models import make_ecological_discrete
 
     b = make_ecological_discrete(
-        1, lambda x, xi: np.ones(1), lambda gen: float(gen.standard_normal()),
+        1, lambda x, xi: np.ones_like(x), lambda gen, size=None: gen.standard_normal(size),
         inner_mc=200)
     cfg = SimConfig(dt=1.0, t_final=30.0)
     est = invasion_rate(b.boundary, 0, b.species_H(0),
@@ -157,10 +157,11 @@ def test_invasion_rate_two_species_fixed_point():
     # species 1 follows a deterministic Ricker settling at x1* = 1;
     # species 2 would grow at log F_2 = 0.3 - 0.5 x1 = -0.2 there
     def F(x, xi):
-        return np.array([math.exp(0.2 * (1.0 - x[0])),
-                         math.exp(0.3 - 0.5 * x[0])])
+        return np.stack([np.exp(0.2 * (1.0 - x[..., 0])),
+                         np.exp(0.3 - 0.5 * x[..., 0])], axis=-1)
 
-    b = make_ecological_discrete(2, F, lambda gen: 0.0, inner_mc=64)
+    zeros = lambda gen, size=None: np.zeros(() if size is None else size)
+    b = make_ecological_discrete(2, F, zeros, inner_mc=64)
     cfg = SimConfig(dt=1.0, t_final=300.0)
     est = invasion_rate(b.boundary, 1, b.species_H(1),
                         [StateVector(np.array([0.8, 0.0]))], cfg, reps=1,

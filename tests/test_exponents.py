@@ -125,7 +125,7 @@ def test_boundary_exponent_reorder_invariance(sis_k2):
 
 def test_boundary_exponent_runs_a_deterministic_path_once_per_ic(sis_k2, sis_switching,
                                                                  monkeypatch):
-    import extinctd.exponents as exponents
+    import extinctd.integrators as integrators
 
     cfg = SimConfig(dt=1e-2, t_final=20.0)
     sims = []
@@ -134,7 +134,9 @@ def test_boundary_exponent_runs_a_deterministic_path_once_per_ic(sis_k2, sis_swi
         sims.append(rng.stream_id)
         return simulate(model, ic, cfg, rng)
 
-    monkeypatch.setattr(exponents, "simulate", counted)
+    # the sphere boundaries are not batch-first, so simulate_lanes runs each
+    # replica through simulate
+    monkeypatch.setattr(integrators, "simulate", counted)
     ics = [StateVector(np.array([1.0, 0.0])), StateVector(np.array([0.6, 0.8]))]
     est = boundary_exponent(sis_k2.boundary, sis_k2.boundary_H, ics, cfg, 3, seed=0)
     assert sims == [0, 3]

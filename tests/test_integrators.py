@@ -16,7 +16,7 @@ from extinctd.integrators import (
 )
 from extinctd.lyapunov import occupation_average
 from extinctd.models import make_linear_sde
-from extinctd.process_core import ModelSpec, RngStream, StateVector, replica_streams
+from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory, replica_streams
 
 
 def ou_model(theta=1.0, sigma=math.sqrt(2.0)):
@@ -183,6 +183,108 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     assert str(info.value) == message
 
 
+def test_simulate_lanes_reduces_the_paths_below_a_failure_before_raising():
+    # replica 1 blows up at step 4; replica 0 runs to the end, and its path
+    # is too short for a slope, so serial order raises WindowTooShort first
+    from extinctd.errors import WindowTooShort
+    from extinctd.exponents import trajectory_slope
+
+    m = ModelSpec(family="sde", dim=1, noise_dim=0,
+                  drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
+                  batch_first=True)
+    cfg = SimConfig(dt=0.5, t_final=5.0)
+    replicas = replica_streams([StateVector(np.array([x])) for x in (-100.0, 0.0)], 1, 7)
+    slope = lambda traj: trajectory_slope(traj, lambda x, s=None: x[..., 0]).point
+    with pytest.raises(WindowTooShort) as serial:
+        [slope(simulate(m, ic, cfg, rng)) for _, ic, rng in replicas]
+    with pytest.raises(WindowTooShort) as info:
+        simulate_lanes(m, replicas, cfg, slope)
+    assert str(info.value) == str(serial.value)
+    assert [len(t.times) for t in simulate_lanes(m, replicas[:1], cfg)] == [11]
+
+
+def test_simulate_lanes_raises_the_lowest_failing_chain_lane():
+    # F turns nonpositive once x reaches 8, which x0 = 2 does at step 2 and
+    # x0 = 0.5 at step 4; the block's step_map raises at step 2, and the
+    # error serial order gives is replica 1's at step 4
+    from extinctd.errors import NonPositiveF
+    from extinctd.models import make_ecological_discrete
+
+    chain = make_ecological_discrete(1, lambda x, xi: np.where(x >= 8.0, -1.0, 2.0),
+                                     lambda gen, size=None: gen.standard_normal(size),
+                                     inner_mc=8).model
+    cfg = SimConfig(dt=1.0, t_final=10.0)
+    replicas = replica_streams([StateVector(np.array([x])) for x in (1e-3, 0.5, 1e-3, 2.0)],
+                               1, 7)
+    message = _serial_failure(chain, replicas, cfg, NonPositiveF)
+    assert message == "replica 1: multipliers F_i must be strictly positive at step 4, t = 5.0"
+    with pytest.raises(NonPositiveF) as info:
+        simulate_lanes(chain, replicas, cfg)
+    assert str(info.value) == message
+
+
+def _chain_reference(model, ic, cfg, rng):
+    """The per-step loop, one draw per step, that chains ran before they
+    stepped as blocks."""
+    gen = rng.generator()
+    x, times, states = ic.x.copy(), [0.0], [ic.x.copy()]
+    floor_on = model.extinction_distance(x, None) > cfg.floor_epsilon
+    for k in range(int(round(cfg.t_final))):
+        x = model.domain_projection(
+            np.asarray(model.step_map(x, model.noise_sampler(gen)), dtype=float), None)
+        times.append(float(k + 1))
+        states.append(x)
+        if floor_on and model.extinction_distance(x, None) < cfg.floor_epsilon:
+            break
+    return Trajectory(np.array(times), np.array(states))
+
+
+def test_simulate_lanes_steps_chains_as_blocks_bit_for_bit(monkeypatch, ricker_extinct):
+    import extinctd.integrators as integrators
+    from extinctd.models import make_ricker
+
+    persist = make_ricker(r=0.4, sigma=1.0).model
+    extinct = ricker_extinct.model
+    blocks = []
+    step_block = integrators._simulate_block
+    monkeypatch.setattr(integrators, "_simulate_block",
+                        lambda m, reps, c: blocks.append(len(reps)) or step_block(m, reps, c))
+    lanes = integrators._LANES
+    cases = [
+        # the boundary chain stays at 0 and its floor is off; 5000 steps
+        # take two noise chunks
+        (extinct, [ricker_extinct.boundary_ic], 3, SimConfig(dt=1.0, t_final=5000.0), [3]),
+        # interior chains that stop at the floor at their own steps, or not
+        (persist, [StateVector(np.array([x])) for x in (0.5, 2e-3, 1.2e-3)], 4,
+         SimConfig(dt=1.0, t_final=400.0, floor_epsilon=1e-3), [12]),
+        (extinct, [StateVector(np.array([0.5]))], lanes + 6,
+         SimConfig(dt=1.0, t_final=300.0, floor_epsilon=1e-3), [35, 35]),
+    ]
+    lengths = []
+    for chain, ics, reps, cfg, sizes in cases:
+        replicas = replica_streams(ics, reps, 3)
+        want = [_chain_reference(chain, ic, cfg, rng) for _, ic, rng in replicas]
+        blocks.clear()
+        _assert_same_paths(simulate_lanes(chain, replicas, cfg), want)
+        assert blocks == sizes
+        _assert_same_paths([simulate(chain, ic, cfg, rng) for _, ic, rng in replicas[:2]],
+                           want[:2])
+        final = simulate_lanes(chain, replicas, cfg, lambda t: (len(t.times), t.states[-1, 0]))
+        assert final == [(len(t.times), t.states[-1, 0]) for t in want]
+        lengths.append(sorted({len(t.times) for t in want}))
+    assert lengths[0] == [5001]
+    assert len(lengths[1]) > 3 and lengths[1][-1] == 401
+    assert len(lengths[2]) > 10 and lengths[2][-1] < 301
+    # a lane's noise chunks stop at its last step: a caller's generator ends
+    # where 5000 single draws leave it
+    gen, single = np.random.default_rng(4), np.random.default_rng(4)
+    simulate(extinct, ricker_extinct.boundary_ic, SimConfig(dt=1.0, t_final=5000.0), gen)
+    for _ in range(5000):
+        extinct.noise_sampler(single)
+    assert gen.bit_generator.state == single.bit_generator.state
+
+
 def test_simulate_lanes_freezes_a_lane_at_the_floor():
     # lane 0 stops at the floor near x = 0.1, where the drift is infinite;
     # stepping it on would raise an error that no replica raises alone
@@ -221,15 +323,36 @@ def test_simulate_lanes_steps_blocks_in_replica_order(monkeypatch, sis_k2):
 
 def test_simulate_lanes_runs_specs_without_batch_first_one_at_a_time(sis_switching,
                                                                       lorenz_noisy):
-    # the sphere and cylinder boundaries take one state at a time; stepped
-    # as a block, the sphere projection would share one norm across lanes
+    # the sphere boundaries and the Lorenz blow-up take one state at a time;
+    # stepped as a block, the sphere projection would share one norm across
+    # lanes
     linear = make_linear_sde([[-1.0, 0.7], [-0.4, -2.0]], [[0.3, 0.2], [-0.1, 0.4]])
     cfg = SimConfig(dt=0.01, t_final=2.0)
-    for bundle in (sis_switching, linear, lorenz_noisy):
-        assert bundle.model.batch_first and not bundle.boundary.batch_first
-        replicas = replica_streams([bundle.boundary_ic], 2, 5)
-        want = [simulate(bundle.boundary, ic, cfg, rng) for _, ic, rng in replicas]
-        _assert_same_paths(simulate_lanes(bundle.boundary, replicas, cfg), want)
+    for spec, ic in ((sis_switching.boundary, sis_switching.boundary_ic),
+                     (linear.boundary, linear.boundary_ic),
+                     (lorenz_noisy.blowup, StateVector(np.array([0.9, 0.3, 0.5])))):
+        assert not spec.batch_first
+        replicas = replica_streams([ic], 2, 5)
+        want = [simulate(spec, ic, cfg, rng) for _, ic, rng in replicas]
+        _assert_same_paths(simulate_lanes(spec, replicas, cfg), want)
+
+
+@pytest.mark.parametrize("alpha0", [0.05, 0.0])
+def test_simulate_lanes_steps_the_lorenz_cylinder_as_lanes(monkeypatch, alpha0):
+    import extinctd.integrators as integrators
+    from extinctd.models import make_lorenz
+
+    cyl = make_lorenz(gamma=1.0, z_star=1.5, eta=1.0, alpha0=alpha0).boundary
+    cfg = SimConfig(dt=0.01, t_final=5.0)
+    replicas = replica_streams([StateVector(np.array([0.9, 1.5])),
+                                StateVector(np.array([-2.0, 0.3]))], 2, 8)
+    want = [simulate(cyl, ic, cfg, rng) for _, ic, rng in replicas]
+    blocks = []
+    step_block = integrators._simulate_block
+    monkeypatch.setattr(integrators, "_simulate_block",
+                        lambda m, reps, c: blocks.append(len(reps)) or step_block(m, reps, c))
+    _assert_same_paths(simulate_lanes(cyl, replicas, cfg), want)
+    assert blocks == [4]
 
 
 def test_ou_stationary_variance():

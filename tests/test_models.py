@@ -174,9 +174,9 @@ def test_lorenz_classic_parameter_map_is_exact_change_of_variables():
 
 def test_eco_face_invariance_two_species():
     def F(x, xi):
-        return np.exp(np.array([0.2 - x[0] + 0.1 * xi, 0.1 - x[1] + 0.1 * xi]))
+        return np.exp(np.stack([0.2 - x[..., 0] + 0.1 * xi, 0.1 - x[..., 1] + 0.1 * xi], axis=-1))
 
-    b = make_ecological_discrete(2, F, lambda gen: float(gen.standard_normal()),
+    b = make_ecological_discrete(2, F, lambda gen, size=None: gen.standard_normal(size),
                                  inner_mc=64)
     cfg = SimConfig(dt=1.0, t_final=200.0)
     traj = simulate(b.model, StateVector(np.array([0.5, 0.0])), cfg, RngStream(9))
@@ -201,8 +201,9 @@ def test_eco_rejects_nonpositive_multiplier():
     # the build steps the chain once from each calibration point (the
     # positivity probe), so construction already fails
     with pytest.raises(NonPositiveF):
-        make_ecological_discrete(1, lambda x, xi: np.array([-1.0]),
-                                 lambda gen: 0.0, inner_mc=8)
+        make_ecological_discrete(1, lambda x, xi: -np.ones_like(x),
+                                 lambda gen, size=None: np.zeros(() if size is None else size),
+                                 inner_mc=8)
 
 
 def test_eco_drift_check_ricker(ricker_extinct):
@@ -235,7 +236,7 @@ def test_eco_observables_per_distinct_row_match_the_row_loop():
     def F(x, xi):
         return np.exp(log_F_batch(np.asarray(x, dtype=float), np.array([xi]))[0])
 
-    b = make_ecological_discrete(2, F, lambda gen: float(gen.standard_normal()),
+    b = make_ecological_discrete(2, F, lambda gen, size=None: gen.standard_normal(size),
                                  inner_mc=64, log_F_batch=log_F_batch)
     rows = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.5, 0.0],
                      [0.5, -0.0], [0.3, 0.3], [-0.0, 0.5], [0.3, 0.3]])
@@ -433,6 +434,24 @@ def test_sis_suite_constant_resolves_on_first_read(monkeypatch, params):
     assert len(calls) == m
 
 
+def test_lorenz_cylinder_drift_keeps_the_bits_of_the_math_formula():
+    # the one-state cylinder drift was 1 - z math.sin(th) ** 2; on a block,
+    # ** 2 squares and rounds differently from pow for about 0.1% of th
+    gamma, z_star = 0.7, 1.5
+    cyl = make_lorenz(gamma, z_star, 1.3, 0.05).boundary
+    u = np.random.default_rng(5).uniform(-4.0, 4.0, size=(20000, 2))
+    want = [[1.0 - z * math.sin(th) ** 2, -gamma * (z - z_star)] for th, z in u.tolist()]
+    assert _bits(cyl.drift(u)) == _bits(want)
+
+
+def test_ricker_noise_sampler_sized_draws_equal_single_draws(ricker_extinct):
+    sample = ricker_extinct.model.noise_sampler
+    one, block = np.random.default_rng(8), np.random.default_rng(8)
+    singles = [sample(one) for _ in range(1000)]
+    assert _bits(sample(block, 1000)) == _bits(singles)
+    assert one.bit_generator.state == block.bit_generator.state
+
+
 # -- the batch-first contract -----------------------------------------------------
 
 RING5 = [[0, 1, 0, 0, 1], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [1, 0, 0, 1, 0]]
@@ -440,17 +459,19 @@ FULL5 = (np.ones((5, 5)) - np.eye(5)).tolist()
 Q2 = [[-1.0, 1.0], [2.0, -2.0]]
 
 CONTRACT_CASES = {
-    "sis-one-regime": lambda: (make_sis(FULL5, beta=0.3, delta=1.0), (-0.2, 1.2)),
-    "sis-two-regime-shared": lambda: (make_sis(FULL5, beta=[0.2, 0.5], delta=[1.2, 0.8], Q=Q2),
-                                      (-0.2, 1.2)),
-    "sis-two-regime": lambda: (make_sis([FULL5, RING5], beta=[0.2, 0.5], delta=[1.2, 0.8], Q=Q2),
-                               (-0.2, 1.2)),
+    "sis-one-regime": lambda: (make_sis(FULL5, beta=0.3, delta=1.0).model, (-0.2, 1.2)),
+    "sis-two-regime-shared": lambda: (make_sis(FULL5, beta=[0.2, 0.5], delta=[1.2, 0.8],
+                                               Q=Q2).model, (-0.2, 1.2)),
+    "sis-two-regime": lambda: (make_sis([FULL5, RING5], beta=[0.2, 0.5], delta=[1.2, 0.8],
+                                        Q=Q2).model, (-0.2, 1.2)),
     "linear-noisy": lambda: (make_linear_sde(
         [[-1.0, 0.7, 0.2, 0.0], [-0.4, -2.0, 0.3, 0.1], [0.5, 0.0, -1.5, 0.6], [0.1, -0.3, 0.2, -0.8]],
-        [[0.3, 0.2, 0.0, -0.1], [-0.1, 0.4, 0.2, 0.0], [0.0, 0.1, 0.3, 0.2], [0.2, 0.0, -0.1, 0.5]]),
-        (-2.0, 2.0)),
-    "lorenz-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.4), (-4.0, 4.0)),
-    "logistic-noisy": lambda: (make_logistic(0.1, 0.8), (-0.5, 2.0)),
+        [[0.3, 0.2, 0.0, -0.1], [-0.1, 0.4, 0.2, 0.0], [0.0, 0.1, 0.3, 0.2], [0.2, 0.0, -0.1, 0.5]]
+    ).model, (-2.0, 2.0)),
+    "lorenz-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.4).model, (-4.0, 4.0)),
+    "lorenz-cylinder-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.05).boundary, (-4.0, 4.0)),
+    "lorenz-cylinder": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.0).boundary, (-4.0, 4.0)),
+    "logistic-noisy": lambda: (make_logistic(0.1, 0.8).model, (-0.5, 2.0)),
 }
 
 
@@ -458,8 +479,7 @@ CONTRACT_CASES = {
 def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
     # the lockstep engine steps replicas as one block; it equals simulate()
     # only if each callback's block value is its per-row values, bit for bit
-    bundle, (lo, hi) = CONTRACT_CASES[case]()
-    model = bundle.model
+    model, (lo, hi) = CONTRACT_CASES[case]()
     assert model.batch_first
     gen = np.random.default_rng(31)
     x = gen.uniform(lo, hi, size=(40, model.dim))
