@@ -29,7 +29,6 @@ from .exponents import (
 from .integrators import SimConfig, discrete_step, em_step, poissonize, simulate, switch_step
 from .lyapunov import (
     LyapunovSuite,
-    OccupationAccumulator,
     dynkin_residual,
     occupation_average,
     qv_residual,

@@ -3,8 +3,7 @@
 Configs are JSON records (see README for the schema); unknown keys are hard
 errors and the seed is mandatory so every report is reproducible.  Floats in
 all output files are formatted with 17 significant digits, which makes
-report.json byte-identical across reruns.  The thread count is accepted
-and ignored.
+report.json byte-identical across reruns.  Replicas run in one thread.
 
 The simulate and diagnostics runners step the replicas of a discrete chain
 or of a batch-first diffusion in lockstep blocks with
@@ -12,10 +11,12 @@ or of a batch-first diffusion in lockstep blocks with
 bit.  So do ``boundary_exponent`` and ``invasion_rate``, which the
 boundary-exponent, criterion and robustness-scan runners call; of the
 boundary models only the SIS and linear spheres, whose callbacks take one
-state at a time, run one replica after another.  The slope runner still
-calls ``simulate`` once per replica through ``_map_indexed``, because
-perfbench's tracer counts those calls; once the tracer wraps
-``simulate_lanes`` it can move too.
+state at a time, run one replica after another.  When the bundle sets
+``boundary_lanes`` (Lorenz), the robustness-scan runner passes it to
+``robustness_scan``, which steps the replicas of every scan value as lanes
+of one block.  The slope runner still calls ``simulate`` once per replica
+through ``_map_indexed``, because perfbench's tracer counts those calls;
+once the tracer wraps ``simulate_lanes`` it can move too.
 
 Experiments: simulate, boundary-exponent, slope, criterion, robustness-scan,
 diagnostics.
@@ -24,6 +25,7 @@ diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -334,9 +336,12 @@ def _run_scan(cfg, bundle):
         b = make_bundle(cfg.model_name, {**cfg.model_params, param: theta})
         return b.boundary, b.boundary_H
 
+    lanes = None
+    if bundle.boundary_lanes is not None:
+        lanes = functools.partial(bundle.boundary_lanes, param)
     report = robustness_scan(family, values, ics, sim, cfg.replicas,
                              seed=cfg.seed, burn_in=cfg.options.get("burn_in"),
-                             gap_tol=float(cfg.options.get("gap_tol", 0.0)))
+                             gap_tol=float(cfg.options.get("gap_tol", 0.0)), lanes=lanes)
     rows = _exponent_rows([(f"{param}={theta}", est) for theta, est in report.entries])
     files = {"exponents.csv": _csv_text(
         ["label", "method", "point", "ci_low", "ci_high"], rows)}
@@ -406,7 +411,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
     All outputs are buffered and written atomically at the end; identical
     config and seed produce byte-identical report.json.  ``threads`` is
-    accepted and ignored: replicas run serially.
+    accepted and ignored, for callers that still pass it: replicas run in
+    one thread, and the command line has no thread option.
     """
     bundle = make_bundle(cfg.model_name, cfg.model_params)
     report_body, files = _RUNNERS[cfg.experiment](cfg, bundle)
@@ -419,13 +425,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     return report
 
 
-def _resolve_threads(arg_threads):
-    if arg_threads is not None:
-        return max(1, int(arg_threads))
-    env = os.environ.get("EXTINCTD_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="extinctd",
                                      description="extinction-criteria experiment runner")
@@ -436,7 +435,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--replicas", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=None)
 
     val_p = sub.add_parser("validate", help="validate a config without running")
     val_p.add_argument("config")
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
             cfg.output = args.out
         if args.replicas is not None:
             cfg.replicas = max(1, args.replicas)
-        run_experiment(cfg, threads=_resolve_threads(args.threads))
+        run_experiment(cfg)
         print(os.path.join(cfg.output, "report.json"))
         return 0
     except (ExtinctdError, OSError, ValueError) as exc:

@@ -6,6 +6,7 @@ process converges to the extinction set (slope of V = -log d against t).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -14,7 +15,7 @@ import numpy as np
 from .criteria import eigenvalues
 from .errors import WindowTooShort
 # simulate is not called here; perfbench's tracer test finds it under this name
-from .integrators import SimConfig, simulate, simulate_lanes  # noqa: F401
+from .integrators import _LANES, SimConfig, simulate, simulate_lanes  # noqa: F401
 from .lyapunov import LyapunovSuite, eval_along, occupation_average
 from .process_core import ModelSpec, StateVector, Trajectory, replica_streams
 
@@ -75,6 +76,32 @@ def _estimate(values, horizon, method) -> ExponentEstimate:
                             method=method)
 
 
+def _boundary_replicas(model: ModelSpec, ics, reps: int, seed: int) -> list:
+    """The replicas a boundary estimate runs: every (ic, replica) of the
+    replica rule, or the first replica of each ic when the model is
+    noise-free and single-regime, as all its replicas follow that path."""
+    if not ics:
+        raise ValueError("need at least one boundary initial condition")
+    replicas = replica_streams(ics, reps, seed)
+    if model.family == "sde" and model.noise_dim == 0:
+        replicas = replicas[::reps]
+    return replicas
+
+
+def _boundary_estimate(vals, n_ics: int, reps: int, horizon: float) -> ExponentEstimate:
+    """Minimum over ics of the replica means of the occupation averages
+    ``vals`` of ``_boundary_replicas``' runs, with the CI at the argmin; a
+    noise-free path stands for each of its ic's replicas."""
+    per_ic = np.broadcast_to(np.reshape(vals, (n_ics, -1)), (n_ics, reps))
+    means = [v.mean() for v in per_ic]
+    argmin = int(np.argmin(means))
+    return _estimate(per_ic[argmin], horizon, "boundary_average")
+
+
+def _burn(cfg: SimConfig, burn_in: Optional[float]) -> float:
+    return cfg.t_final * 0.1 if burn_in is None else burn_in
+
+
 def boundary_exponent(boundary_model: ModelSpec, H: Callable,
                       ics: Sequence[StateVector], cfg: SimConfig, reps: int,
                       seed: int = 0, burn_in: Optional[float] = None) -> ExponentEstimate:
@@ -87,19 +114,11 @@ def boundary_exponent(boundary_model: ModelSpec, H: Callable,
     single-regime model is simulated once per initial condition and that
     value stands for each of its replicas.
     """
-    if not ics:
-        raise ValueError("need at least one boundary initial condition")
-    burn = cfg.t_final * 0.1 if burn_in is None else burn_in
-    replicas = replica_streams(ics, reps, seed)
-    if boundary_model.family == "sde" and boundary_model.noise_dim == 0:
-        replicas = replicas[::reps]  # every replica of an ic is the same path
+    burn = _burn(cfg, burn_in)
+    replicas = _boundary_replicas(boundary_model, ics, reps, seed)
     vals = simulate_lanes(boundary_model, replicas, cfg,
                           lambda path: occupation_average(path, H, burn))
-    per_ic = np.broadcast_to(np.reshape(vals, (len(ics), -1)), (len(ics), reps))
-    means = [v.mean() for v in per_ic]
-    argmin = int(np.argmin(means))
-    est = _estimate(per_ic[argmin], cfg.t_final, "boundary_average")
-    return est
+    return _boundary_estimate(vals, len(ics), reps, cfg.t_final)
 
 
 def trajectory_slope(traj: Trajectory, V: Callable,
@@ -179,26 +198,34 @@ class ScanReport:
 
 def robustness_scan(model_family: Callable, grid: Sequence, ics, cfg: SimConfig,
                     reps: int, seed: int = 0, burn_in: Optional[float] = None,
-                    gap_tol: float = 0.0) -> ScanReport:
+                    gap_tol: float = 0.0, lanes: Optional[Callable] = None) -> ScanReport:
     """Evaluate the boundary exponent along a parameter grid.
 
     ``model_family`` maps a parameter value to (boundary_model, H).  Adjacent
     estimates whose gap exceeds the summed CI half-widths plus gap_tol are
     flagged as candidate lower-semicontinuity violations.
+
+    Each value's estimate is ``boundary_exponent``'s, and replica k draws
+    from stream k at every value (common random numbers).  ``lanes``, a
+    bundle's ``boundary_lanes`` bound to the scanned parameter, maps an (n,)
+    array of per-lane values to one batch-first boundary spec whose row i
+    steps as ``model_family(values[i])``'s model does.  With it and two or
+    more values, the runs of all values step as lanes of one block, value by
+    value, each reduced with its own value's H; without it the values run
+    one after another.  Both give the same estimates bit for bit.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
-    entries = []
-    dim = None
-    for theta in grid:
-        model, H = model_family(theta)
-        if dim is None:
-            dim = model.dim
-        elif model.dim != dim:
-            raise ValueError("all scanned models must share state dimension")
-        est = boundary_exponent(model, H, ics, cfg, reps, seed=seed, burn_in=burn_in)
-        entries.append((theta, est))
+    family = [model_family(theta) for theta in grid]
+    if any(model.dim != family[0][0].dim for model, _ in family):
+        raise ValueError("all scanned models must share state dimension")
+    if lanes is None or len(grid) < 2:
+        ests = [boundary_exponent(model, H, ics, cfg, reps, seed=seed, burn_in=burn_in)
+                for model, H in family]
+    else:
+        ests = _scan_lanes(lanes, grid, family, ics, cfg, reps, seed, _burn(cfg, burn_in))
+    entries = list(zip(grid, ests))
     gaps = []
     flagged = []
     for (ta, ea), (tb, eb) in zip(entries[:-1], entries[1:]):
@@ -211,6 +238,26 @@ def robustness_scan(model_family: Callable, grid: Sequence, ics, cfg: SimConfig,
                       max_adjacent_gap=float(max(gaps)) if gaps else 0.0,
                       discontinuities=flagged,
                       monotone_envelope_ok=not flagged)
+
+
+def _scan_lanes(lanes, grid, family, ics, cfg, reps, seed, burn) -> list:
+    """``boundary_exponent`` at each grid value, with the runs of all values
+    stepped as lanes of one block spec made by ``lanes``."""
+    runs = [_boundary_replicas(model, ics, reps, seed) for model, _ in family]
+    replicas = [rep for run in runs for rep in run]
+    thetas = np.asarray([theta for theta, run in zip(grid, runs) for _ in run])
+    Hs = [H for (_, H), run in zip(family, runs) for _ in run]
+    n = len(replicas)
+    blocks = -(-n // _LANES)  # the block split of simulate_lanes, so each spec fits its block
+    vals = []
+    for b in range(blocks):
+        lo, hi = b * n // blocks, (b + 1) * n // blocks
+        hs = iter(Hs[lo:hi])  # simulate_lanes reduces the paths in lane order
+        vals += simulate_lanes(lanes(thetas[lo:hi]), replicas[lo:hi], cfg,
+                               lambda path: occupation_average(path, next(hs), burn))
+    vals = iter(vals)
+    return [_boundary_estimate(list(itertools.islice(vals, len(run))), len(ics), reps,
+                               cfg.t_final) for run in runs]
 
 
 def linear_sde_exponent(A) -> float:

@@ -125,41 +125,6 @@ def occupation_average(traj: Trajectory, g: Callable, burn_in: float = 0.0) -> f
     return total / (traj.duration - float(traj.times[i0]))
 
 
-class OccupationAccumulator:
-    """Streaming time-average of named observables across trajectory segments."""
-
-    def __init__(self, observables: Dict[str, Callable]):
-        self.observables = dict(observables)
-        self.elapsed = 0.0
-        self.integrals = {name: 0.0 for name in self.observables}
-
-    def update(self, traj: Trajectory, burn_in: float = 0.0):
-        i0 = int(np.searchsorted(traj.times, burn_in, side="left"))
-        if i0 >= len(traj.times) - 1:
-            raise EmptyWindow("no full grid interval after burn_in")
-        self.elapsed += traj.duration - float(traj.times[i0])
-        for name, g in self.observables.items():
-            seg = _segment_integrals(traj, eval_along(g, traj))
-            self.integrals[name] += float(seg[i0:].sum())
-
-    def average(self, name: str) -> float:
-        if self.elapsed <= 0.0:
-            raise EmptyWindow("accumulator has seen no data")
-        return self.integrals[name] / self.elapsed
-
-    def averages(self) -> Dict[str, float]:
-        return {name: self.average(name) for name in self.integrals}
-
-    def merge(self, other: "OccupationAccumulator") -> "OccupationAccumulator":
-        if set(self.integrals) != set(other.integrals):
-            raise ValueError("accumulators track different observables")
-        out = OccupationAccumulator(self.observables)
-        out.elapsed = self.elapsed + other.elapsed
-        out.integrals = {k: self.integrals[k] + other.integrals[k]
-                         for k in self.integrals}
-        return out
-
-
 # -- numerical generator application ------------------------------------------
 
 _FD_GRAD_STEP = 1e-5
@@ -385,18 +350,3 @@ def strong_law_check(replicas: Sequence[Trajectory], f: Callable,
     return StrongLawReport(horizon=horizon, max_half=max_half,
                            max_full=max_full, ratio=ratio,
                            shrinking=bool(ratio < 0.8))
-
-
-def vanishing_ratio_report(H: Callable, Wprime: Callable,
-                           shells: Sequence[tuple]) -> list:
-    """Trend of max |H|/W' over shells of sampled states of growing radius.
-
-    ``shells`` is a list of (radius_label, [StateVector, ...]); the ratio
-    should trend downward if H vanishes over W' (reported, not proven).
-    """
-    out = []
-    for label, points in shells:
-        ratios = [abs(float(H(p.x, p.regime))) / float(Wprime(p.x, p.regime))
-                  for p in points]
-        out.append((float(label), float(np.max(ratios))))
-    return out

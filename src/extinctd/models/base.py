@@ -33,6 +33,12 @@ class ModelBundle:
     extinction set with ``boundary_H`` the continuous extension of LV there;
     ``blowup`` is the full blown-up model that ``quad_map.forward`` sends
     back onto the original state space.
+
+    ``boundary_lanes(param, values)``, when set, maps a scanned parameter
+    and an (n,) array of per-lane values to one batch-first boundary spec
+    whose row i is bit for bit that of ``boundary`` rebuilt with
+    ``param = values[i]``, so ``exponents.robustness_scan`` can step every
+    scan value's replicas as one block.  Only the Lorenz bundle sets it.
     """
 
     name: str
@@ -40,6 +46,7 @@ class ModelBundle:
     suite: LyapunovSuite
     boundary: Optional[ModelSpec] = None
     boundary_H: Optional[Callable] = None
+    boundary_lanes: Optional[Callable] = None
     blowup: Optional[ModelSpec] = None
     quad_map: Optional[QuadrupleMap] = None
     default_ic: Optional[StateVector] = None

@@ -68,7 +68,7 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
 
     def step_map(x, xi):
         mult = np.asarray(F(x, xi), dtype=float)
-        if np.any(mult <= 0.0):
+        if (mult <= 0.0).any():
             raise NonPositiveF("multipliers F_i must be strictly positive")
         return x * mult
 

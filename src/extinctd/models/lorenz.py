@@ -23,6 +23,40 @@ from ..process_core import ModelSpec, StateVector
 from .base import ModelBundle, QuadrupleMap, power_suite
 
 
+def lorenz_cylinder(gamma, z_star, alpha0):
+    """The boundary of the blow-up: the (theta, z) cylinder with R frozen at
+    zero, where H(theta, z) = 1 - (z/2) sin(2 theta) and its occupation
+    average is -lambda.  Returns (boundary spec, boundary_H).
+
+    Each parameter is a scalar or an (n,) array of per-lane values for
+    blocks of n states, row i with the values at i; the rows of a lane with
+    alpha0 = 0 get a zero noise column.  The spec is noisy if any alpha0 > 0.
+    """
+    alpha0 = np.asarray(alpha0, dtype=float)
+    noise = np.zeros(alpha0.shape + (2, 1))  # (2, 1) or (n, 2, 1)
+    noise[..., 1, 0] = alpha0
+
+    def drift(u, s=None):
+        th, z = u.T
+        # float_power keeps libm's pow, as math.sin(th) ** 2 did; a block's
+        # ** 2 squares instead, which rounds differently for about 0.1% of th
+        return np.array([1.0 - z * np.float_power(np.sin(th), 2), -gamma * (z - z_star)]).T
+
+    noisy = max(alpha0.flat) > 0.0  # any alpha0 > 0, without a numpy reduction's cost
+    boundary = ModelSpec(
+        family="sde", dim=2, noise_dim=1 if noisy else 0,
+        drift=drift, diffusion=(lambda u, s=None: noise) if noisy else None,
+        extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
+        name="lorenz-cylinder", batch_first=True,
+    )
+
+    def boundary_H(u, s=None):
+        u = np.asarray(u, dtype=float)
+        return 1.0 - 0.5 * u[..., 1] * np.sin(2.0 * u[..., 0])
+
+    return boundary, boundary_H
+
+
 def make_lorenz(gamma: float, z_star: float, eta: float,
                 alpha0: float) -> ModelBundle:
     """Lorenz bundle: 3-d SDE, exp-quadratic suite, cylinder companions."""
@@ -93,25 +127,13 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
         name="lorenz-blowup",
     )
 
-    # boundary: the (theta, z) cylinder with R frozen at zero, where
-    # H(theta, z) = 1 - (z/2) sin(2 theta) and its occupation average is -lambda
-    def cyl_drift(u, s=None):
-        th, z = u.T
-        # float_power keeps libm's pow, as math.sin(th) ** 2 did; a block's
-        # ** 2 squares instead, which rounds differently for about 0.1% of th
-        return np.array([1.0 - z * np.float_power(np.sin(th), 2), -gamma * (z - z_star)]).T
+    boundary, boundary_H = lorenz_cylinder(gamma, z_star, alpha0)
 
-    cyl_noise = np.array([[0.0], [alpha0]])
-    boundary = ModelSpec(
-        family="sde", dim=2, noise_dim=1 if noisy else 0,
-        drift=cyl_drift, diffusion=(lambda u, s=None: cyl_noise) if noisy else None,
-        extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
-        name="lorenz-cylinder", batch_first=True,
-    )
-
-    def boundary_H(u, s=None):
-        u = np.asarray(u, dtype=float)
-        return 1.0 - 0.5 * u[..., 1] * np.sin(2.0 * u[..., 0])
+    def boundary_lanes(param, values):
+        cyl = {"gamma": gamma, "z_star": z_star, "alpha0": alpha0}
+        if param in cyl:  # eta leaves the cylinder alone
+            cyl[param] = np.asarray(values, dtype=float)
+        return lorenz_cylinder(**cyl)[0]
 
     def forward(u):
         u = np.asarray(u, dtype=float)
@@ -129,7 +151,7 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
 
     return ModelBundle(name="lorenz", model=model, suite=suite,
                        boundary=boundary, boundary_H=boundary_H,
-                       blowup=blowup, quad_map=quad,
+                       boundary_lanes=boundary_lanes, blowup=blowup, quad_map=quad,
                        default_ic=StateVector(np.array([0.8, 0.4, z_star])),
                        boundary_ic=StateVector(np.array([0.9, z_star])),
                        params={"gamma": gamma, "z_star": z_star,

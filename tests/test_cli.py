@@ -184,6 +184,61 @@ def test_scan_experiment(tmp_path):
     assert points[1] == pytest.approx(0.6, abs=0.03)
 
 
+# name: (scanned parameter, values, alpha0, ics, replicas, t_final)
+LORENZ_SCANS = {
+    "alpha0-with-0": ("alpha0", [0.0, 0.05, 0.1], 0.0, [[0.9, 0.5], [2.0, 1.0]], 2, 10.0),
+    "z_star-2ics-3reps": ("z_star", [0.5, 1.0, 1.5], 0.1, [[0.9, 0.5], [2.0, 1.0]], 3, 10.0),
+    "gamma-deterministic": ("gamma", [0.5, 1, 2.0], 0.0, [[0.9, 0.5], [2.0, 1.0]], 3, 10.0),
+    # 12 values x 2 ics x 3 replicas = 72 lanes, in two blocks
+    "alpha0-72-lanes": ("alpha0", [0.02 * i for i in range(1, 13)], 0.0,
+                        [[0.9, 0.5], [2.0, 1.0]], 3, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LORENZ_SCANS))
+def test_lorenz_scan_runs_as_lanes_with_the_bytes_of_the_per_value_scan(case, tmp_path,
+                                                                        monkeypatch):
+    import extinctd.cli as cli
+    from extinctd.exponents import robustness_scan
+
+    param, values, alpha0, ics, reps, t_final = LORENZ_SCANS[case]
+    raw = {
+        "model": {"name": "lorenz", "params": {"gamma": 1.0, "z_star": 0.5, "eta": 1.0,
+                                               "alpha0": alpha0}},
+        "experiment": "robustness-scan",
+        "sim": {"dt": 0.002, "t_final": t_final},
+        "replicas": reps,
+        "seed": 22,
+        "ics": ics,
+        "output": "out",
+        "options": {"burn_in": 0.1 * t_final, "scan_parameter": param, "scan_values": values},
+    }
+    builders = []
+
+    def per_value(*args, lanes=None, **kwargs):
+        builders.append(lanes)
+        return robustness_scan(*args, **kwargs)
+
+    outputs = []
+    for name in ("lanes", "per_value"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the report names its output path
+        run_experiment(config_from_dict(raw))
+        outputs.append({f: (tmp_path / name / "out" / f).read_bytes()
+                        for f in ("report.json", "exponents.csv")})
+        monkeypatch.setattr(cli, "robustness_scan", per_value)
+    assert len(builders) == 1 and builders[0] is not None  # the runner passed a builder
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_rejects_the_threads_flag(tmp_path, capsys):
+    path = write_config(tmp_path, sis_config(tmp_path / "out"))
+    with pytest.raises(SystemExit):
+        main(["run", path, "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_bytes_identical_across_runs_and_threads(tmp_path):
     cfg = config_from_dict(sis_config(tmp_path / "out", experiment="slope",
                                       ics=[[0.4, 0.5]]))
@@ -300,13 +355,3 @@ def test_shipped_configs_parse_and_validate():
     for path in paths:
         cfg = parse_config(path)
         assert cfg.seed is not None
-
-
-def test_threads_env_fallback(monkeypatch):
-    from extinctd.cli import _resolve_threads
-
-    monkeypatch.delenv("EXTINCTD_THREADS", raising=False)
-    assert _resolve_threads(None) == 1
-    monkeypatch.setenv("EXTINCTD_THREADS", "6")
-    assert _resolve_threads(None) == 6
-    assert _resolve_threads(2) == 2  # flag wins over the environment

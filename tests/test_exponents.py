@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from extinctd.exponents import (
     t975,
     trajectory_slope,
 )
-from extinctd.integrators import SimConfig, simulate
+from extinctd.integrators import SimConfig, simulate, simulate_lanes
 from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory
 
 
@@ -224,10 +225,82 @@ def test_robustness_scan_lorenz_alpha0():
         return b.boundary, b.boundary_H
 
     ics = [StateVector(np.array([0.9, 0.5]))]
+    lanes = functools.partial(make_lorenz(1.0, 0.5, 1.0, 0.0).boundary_lanes, "alpha0")
     rep = robustness_scan(family, [0.0, 0.05, 0.1, 0.2], ics,
                           SimConfig(dt=2e-3, t_final=600.0), reps=2, seed=20,
-                          burn_in=50.0, gap_tol=0.05)
+                          burn_in=50.0, gap_tol=0.05, lanes=lanes)
     points = [e.point for _, e in rep.entries]
     assert points[0] == pytest.approx(1.0, abs=0.02)
     assert all(0.8 <= p <= 1.05 for p in points)
     assert rep.monotone_envelope_ok, rep.discontinuities
+
+
+LORENZ = {"gamma": 1.0, "z_star": 0.5, "eta": 1.0, "alpha0": 0.0}
+
+# name: (scanned parameter, grid, other parameters, ics, replicas, t_final,
+# whether H varies with the parameter)
+LANE_SCANS = {
+    # noise-free and noisy lanes share one block
+    "alpha0-with-0": ("alpha0", [0.0, 0.05, 0.1, 0.2], {}, [(0.9, 0.5)], 2, 20.0, False),
+    "z_star-2ics-3reps": ("z_star", [0.5, 1.0, 1.5], {"alpha0": 0.1},
+                          [(0.9, 0.5), (2.0, 1.0)], 3, 10.0, False),
+    "gamma-deterministic": ("gamma", [0.5, 1.0, 2.0], {}, [(0.9, 0.5), (2.0, 1.0)], 3,
+                            10.0, False),
+    # 12 values x 2 ics x 3 replicas = 72 lanes, two blocks of 36
+    "alpha0-72-lanes": ("alpha0", [0.02 * i for i in range(1, 13)], {},
+                        [(0.9, 0.5), (2.0, 1.0)], 3, 2.0, False),
+    # each lane must be reduced with its own value's H
+    "alpha0-own-H": ("alpha0", [0.0, 0.05, 0.1], {}, [(0.9, 0.5), (2.0, 1.0)], 2, 10.0, True),
+}
+
+
+def _lorenz_scan(case, lanes):
+    from extinctd.models import make_lorenz
+
+    param, grid, extra, ics, reps, t_final, own_H = LANE_SCANS[case]
+    base = {**LORENZ, **extra}
+
+    def family(theta):
+        b = make_lorenz(**{**base, param: theta})
+        if own_H:
+            return b.boundary, lambda u, s=None: (1.0 + theta) * b.boundary_H(u, s)
+        return b.boundary, b.boundary_H
+
+    builder = functools.partial(make_lorenz(**base).boundary_lanes, param) if lanes else None
+    return robustness_scan(family, grid, [StateVector(np.array(ic)) for ic in ics],
+                           SimConfig(dt=2e-3, t_final=t_final), reps, seed=11,
+                           burn_in=0.1 * t_final, lanes=builder)
+
+
+def _estimate_bits(est):
+    return [float(getattr(est, f)).hex() if isinstance(getattr(est, f), float)
+            else getattr(est, f) for f in ("point", "ci_low", "ci_high", "n_replicas",
+                                           "horizon", "method")]
+
+
+@pytest.mark.parametrize("case", sorted(LANE_SCANS))
+def test_lane_scan_gives_the_estimates_of_the_per_value_scan_bit_for_bit(case):
+    block, serial = _lorenz_scan(case, True), _lorenz_scan(case, False)
+    assert [t for t, _ in block.entries] == LANE_SCANS[case][1]
+    assert ([(t, _estimate_bits(e)) for t, e in block.entries]
+            == [(t, _estimate_bits(e)) for t, e in serial.entries])
+    assert block.max_adjacent_gap == serial.max_adjacent_gap
+    assert block.discontinuities == serial.discontinuities
+
+
+def test_lane_scan_steps_all_values_as_lanes_of_one_block(monkeypatch):
+    import extinctd.exponents as exponents
+
+    calls = []
+
+    def spy(model, replicas, cfg, reduce=None):
+        calls.append((model.noise_dim, [k for k, _, _ in replicas]))
+        return simulate_lanes(model, replicas, cfg, reduce)
+
+    monkeypatch.setattr(exponents, "simulate_lanes", spy)
+    _lorenz_scan("alpha0-with-0", True)
+    # value-major: alpha0 = 0 runs once, each noisy value twice
+    assert calls == [(1, [0, 0, 1, 0, 1, 0, 1])]
+    calls.clear()
+    _lorenz_scan("alpha0-72-lanes", True)
+    assert [len(ks) for _, ks in calls] == [36, 36]

@@ -8,7 +8,6 @@ from extinctd.errors import EmptyWindow, NonFiniteObservable
 from extinctd.integrators import SimConfig, simulate
 from extinctd.lyapunov import (
     LyapunovSuite,
-    OccupationAccumulator,
     constant_suite,
     dynkin_residual,
     gamma_apply,
@@ -18,7 +17,6 @@ from extinctd.lyapunov import (
     strong_law_check,
     suite_diagnostics,
     tightness_check,
-    vanishing_ratio_report,
 )
 from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory
 
@@ -127,20 +125,6 @@ def test_occupation_average_refinement_invariant_piecewise_constant():
     b = occupation_average(fine, X)
     assert a == pytest.approx(b, abs=1e-12)
     assert a == pytest.approx((1.0 * 1.0 + 3.0 * 3.0) / 4.0, abs=1e-12)
-
-
-def test_accumulator_streaming_and_merge():
-    trajs = brownian_paths(4, 100, 0.01, seed=5)
-    obs = {"one": ONE, "x": X}
-    acc = OccupationAccumulator(obs)
-    for t in trajs[:2]:
-        acc.update(t)
-    other = OccupationAccumulator(obs)
-    for t in trajs[2:]:
-        other.update(t)
-    merged = acc.merge(other)
-    assert merged.elapsed == pytest.approx(4.0)
-    assert merged.average("one") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tightness_compact_and_violation():
@@ -275,15 +259,6 @@ def test_nonfinite_observable_raises():
     bad = lambda x, s: np.full(np.shape(x)[:-1], np.nan)
     with pytest.raises(NonFiniteObservable):
         dynkin_residual(traj, bad, ZERO)
-
-
-def test_vanishing_ratio_trend():
-    h = lambda x, s=None: np.asarray(x)[..., 0]
-    wp = lambda x, s=None: 1.0 + np.asarray(x)[..., 0] ** 2
-    shells = [(r, [StateVector(np.array([r]))]) for r in (1.0, 2.0, 4.0, 8.0)]
-    rep = vanishing_ratio_report(h, wp, shells)
-    ratios = [v for _, v in rep]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
 def test_strong_law_ou_decreasing():

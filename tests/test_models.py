@@ -9,6 +9,7 @@ from extinctd.lyapunov import generator_apply, qv_residual, dynkin_residual
 from extinctd.process_core import RngStream, StateVector
 from extinctd.models import (
     eco_drift_check,
+    lorenz_cylinder,
     lorenz_params_from_classic,
     make_ecological_discrete,
     make_kolmogorov,
@@ -458,6 +459,18 @@ RING5 = [[0, 1, 0, 0, 1], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [1,
 FULL5 = (np.ones((5, 5)) - np.eye(5)).tolist()
 Q2 = [[-1.0, 1.0], [2.0, -2.0]]
 
+
+def _cylinder_lanes():
+    # per-lane (gamma, z*, alpha0), every fourth lane noise-free; row i must
+    # be that of the cylinder built with the scalars at i
+    gen = np.random.default_rng(7)
+    gamma, z_star = gen.uniform(0.2, 2.0, 40), gen.uniform(-1.0, 3.0, 40)
+    alpha0 = np.where(np.arange(40) % 4 == 0, 0.0, gen.uniform(0.01, 0.5, 40))
+    rows = [lorenz_cylinder(*p)[0] for p in zip(gamma.tolist(), z_star.tolist(),
+                                                 alpha0.tolist())]
+    return lorenz_cylinder(gamma, z_star, alpha0)[0], (-4.0, 4.0), rows
+
+
 CONTRACT_CASES = {
     "sis-one-regime": lambda: (make_sis(FULL5, beta=0.3, delta=1.0).model, (-0.2, 1.2)),
     "sis-two-regime-shared": lambda: (make_sis(FULL5, beta=[0.2, 0.5], delta=[1.2, 0.8],
@@ -472,6 +485,7 @@ CONTRACT_CASES = {
     "lorenz-cylinder-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.05).boundary, (-4.0, 4.0)),
     "lorenz-cylinder": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.0).boundary, (-4.0, 4.0)),
     "logistic-noisy": lambda: (make_logistic(0.1, 0.8).model, (-0.5, 2.0)),
+    "lorenz-cylinder-lanes": _cylinder_lanes,
 }
 
 
@@ -479,16 +493,20 @@ CONTRACT_CASES = {
 def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
     # the lockstep engine steps replicas as one block; it equals simulate()
     # only if each callback's block value is its per-row values, bit for bit
-    model, (lo, hi) = CONTRACT_CASES[case]()
+    model, (lo, hi), *row_models = CONTRACT_CASES[case]()
+    row_models = row_models[0] if row_models else [model] * 40
     assert model.batch_first
     gen = np.random.default_rng(31)
     x = gen.uniform(lo, hi, size=(40, model.dim))
     s = gen.integers(model.n_regimes, size=40) if model.n_regimes > 1 else None
     names = [n for n in ("drift", "diffusion", "diffusion_diag", "domain_projection",
                          "extinction_distance") if getattr(model, n) is not None]
+    # a noise-free row model steps as a zero noise column
+    zero = lambda u, s=None: np.zeros((model.dim, model.noise_dim))
     for name in names:
         f = getattr(model, name)
-        rows = np.stack([np.asarray(f(x[i], None if s is None else int(s[i])), dtype=float)
-                         for i in range(len(x))])
+        rows = np.stack([np.asarray((getattr(m, name) or zero)(
+            x[i], None if s is None else int(s[i])), dtype=float)
+            for i, m in enumerate(row_models)])
         block = np.broadcast_to(np.asarray(f(x, s), dtype=float), rows.shape)
         assert _bits(block.ravel()) == _bits(rows.ravel()), name
