@@ -1,22 +1,20 @@
 """Config-driven experiment runner.
 
-Configs are JSON records (see README for the schema); unknown keys are hard
-errors and the seed is mandatory so every report is reproducible.  Floats in
-all output files are formatted with 17 significant digits, which makes
-report.json byte-identical across reruns.  Replicas run in one thread.
+Configs are JSON records (see README for the schema); unknown keys and
+non-finite numbers in ``sim`` or ``model.params`` are hard errors, and the
+seed is mandatory so every report is reproducible.  Output floats have 17
+significant digits, so reruns give the same bytes; every CSV comes from
+``_csv_text``, which takes one array per column.  Replicas run in one thread.
 
-The simulate and diagnostics runners step the replicas of a discrete chain
-or of a batch-first diffusion in lockstep blocks with
-``integrators.simulate_lanes``, whose paths equal ``simulate``'s bit for
-bit.  So do ``boundary_exponent`` and ``invasion_rate``, which the
-boundary-exponent, criterion and robustness-scan runners call; of the
-boundary models only the SIS and linear spheres, whose callbacks take one
-state at a time, run one replica after another.  When the bundle sets
-``boundary_lanes`` (Lorenz), the robustness-scan runner passes it to
-``robustness_scan``, which steps the replicas of every scan value as lanes
-of one block.  The slope runner still calls ``simulate`` once per replica
-through ``_map_indexed``, because perfbench's tracer counts those calls;
-once the tracer wraps ``simulate_lanes`` it can move too.
+The simulate and diagnostics runners, ``boundary_exponent`` and
+``invasion_rate`` step the replicas of a discrete chain or a batch-first
+diffusion as lanes of one block with ``integrators.simulate_lanes``
+(``simulate``'s paths bit for bit); the SIS and linear spheres, whose
+callbacks take one state at a time, run one replica after another.  With
+the bundle's ``boundary_lanes`` (Lorenz), ``robustness_scan`` steps every
+scan value's replicas as lanes of one block.  The slope runner still calls
+``simulate`` per replica through ``_map_indexed``, as perfbench's tracer
+counts those calls.
 
 Experiments: simulate, boundary-exponent, slope, criterion, robustness-scan,
 diagnostics.
@@ -37,16 +35,12 @@ from typing import Optional
 import numpy as np
 
 from .criteria import invasion_rate, lorenz_lambda, lorenz_lambda0, weighted_invasion_criterion
-from .errors import ExtinctdError, MissingField, ParseError, UnknownKey, UnknownModel
+from .errors import (ExtinctdError, MissingField, NonFiniteParameter, ParseError, UnknownKey,
+                     UnknownModel)
 from .exponents import _estimate, boundary_exponent, robustness_scan, trajectory_slope
 from .integrators import SimConfig, simulate, simulate_lanes
-from .lyapunov import (
-    dynkin_residual,
-    qv_residual,
-    strong_law_check,
-    suite_diagnostics,
-    tightness_check,
-)
+from .lyapunov import (dynkin_residual, qv_residual, strong_law_check, suite_diagnostics,
+                       tightness_check)
 from .process_core import StateVector, make_bundle, registered_models, replica_streams
 
 EXPERIMENTS = ("simulate", "boundary-exponent", "slope", "criterion",
@@ -88,6 +82,13 @@ def _require_keys(mapping, allowed, context):
     unknown = set(mapping) - allowed
     if unknown:
         raise UnknownKey(f"unknown {context} key(s): {sorted(unknown)}")
+
+
+def _nonfinite(value) -> bool:
+    """True if a float leaf of a JSON value (nested lists) is NaN or infinite."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, list) and any(map(_nonfinite, value))
 
 
 def _normalize_ics(raw) -> list:
@@ -136,6 +137,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         output=str(raw["output"]),
         options=options,
     )
+    for name, value in cfg.model_params.items():
+        if _nonfinite(value):
+            raise NonFiniteParameter(f"model parameter {name!r} is not finite: {value!r}")
     cfg.sim_config()  # validate eagerly
     return cfg
 
@@ -178,9 +182,7 @@ def dumps_report(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  "{key}": {dumps_report(obj[key], indent + 1)}')
+        items = [f'{pad}  "{key}": {dumps_report(obj[key], indent + 1)}' for key in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -210,22 +212,22 @@ def _write_text(directory: str, name: str, text: str):
         raise
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([_fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)
-                               for v in row]))
-    return "\n".join(lines) + "\n"
+def _csv_text(header, columns) -> str:
+    """The one CSV writer: one array or sequence per column, one dtype each,
+    formatted through one row template of ``%.17g`` (``_fmt_float``'s bytes)
+    for floats, ``%d`` for integers and ``%s`` for the rest."""
+    cols = [np.asarray(c) for c in columns]
+    for c in cols:
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise ValueError(f"cannot serialize non-finite value {c[~np.isfinite(c)][0].item()!r}")
+    template = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(c.dtype.kind, "%s") for c in cols)
+    rows = map(template.__mod__, zip(*[c.tolist() for c in cols]))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
-    """Replica fan-out, serial and ordered by index, for the slope runner.
-
-    ``threads`` is ignored: the replica work holds the GIL, so a thread pool
-    made runs slower, not faster.  The simulate and diagnostics runners step
-    their replicas in lockstep with ``simulate_lanes`` instead; the slope
-    runner stays here while perfbench's tracer counts ``simulate`` calls.
-    """
+    """Serial replica fan-out, ordered by index, for the slope runner; ``threads``
+    is ignored, as the replica work holds the GIL and a thread pool ran slower."""
     return [fn(i) for i in range(count)]
 
 
@@ -234,28 +236,28 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 def _run_simulate(cfg, bundle):
     sim = cfg.sim_config()
     replicas = replica_streams(cfg.state_vectors(bundle.default_ic), cfg.replicas, cfg.seed)
-    rows = []
-    summary = []
+    blocks, summary = [], []
     for (rid, _, _), traj in zip(replicas, simulate_lanes(bundle.model, replicas, sim)):
-        regimes = [-1] * len(traj.times) if traj.regimes is None else traj.regimes.tolist()
-        rows += [[rid, t, *x, reg] for t, x, reg
-                 in zip(traj.times.tolist(), traj.states.tolist(), regimes)]
+        n = len(traj.times)
+        regimes = np.full(n, -1) if traj.regimes is None else traj.regimes
+        blocks.append([np.full(n, rid), traj.times, *traj.states.T, regimes])
         summary.append({
             "replica_id": rid,
             "duration": traj.duration,
             "final_distance": float(bundle.model.extinction_distance(
                 traj.states[-1], None if traj.regimes is None else int(traj.regimes[-1]))),
-            "n_points": len(traj.times),
+            "n_points": n,
             "n_jumps": int(traj.jumps.size),
         })
     header = ["replica_id", "t"] + [f"x_{d}" for d in range(bundle.model.dim)] + ["regime"]
-    files = {"trajectories.csv": _csv_text(header, rows)}
+    files = {"trajectories.csv": _csv_text(header, map(np.concatenate, zip(*blocks)))}
     return {"replicas": summary}, files
 
 
-def _exponent_rows(labelled):
-    return [[label, est.method, est.point, est.ci_low, est.ci_high]
-            for label, est in labelled]
+def _exponents_csv(labelled) -> str:
+    """exponents.csv, one row per (label, estimate), passed to the writer as columns."""
+    rows = [(label, e.method, e.point, e.ci_low, e.ci_high) for label, e in labelled]
+    return _csv_text(["label", "method", "point", "ci_low", "ci_high"], zip(*rows))
 
 
 def _run_boundary_exponent(cfg, bundle):
@@ -264,9 +266,7 @@ def _run_boundary_exponent(cfg, bundle):
     burn = cfg.options.get("burn_in")
     est = boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
                             cfg.replicas, seed=cfg.seed, burn_in=burn)
-    files = {"exponents.csv": _csv_text(
-        ["label", "method", "point", "ci_low", "ci_high"],
-        _exponent_rows([(bundle.name, est)]))}
+    files = {"exponents.csv": _exponents_csv([(bundle.name, est)])}
     return {"estimate": est.to_dict()}, files
 
 
@@ -287,10 +287,10 @@ def _run_slope(cfg, bundle):
         "n_replicas": est.n_replicas,
         "alpha_candidate": bundle.suite.alpha_candidate,
     }
-    rows = [[f"replica_{rid}", "trajectory_slope", s, s, s] for rid, s in results]
-    rows += _exponent_rows([("mean", est)])
-    files = {"exponents.csv": _csv_text(
-        ["label", "method", "point", "ci_low", "ci_high"], rows)}
+    # one replica's estimate is its slope, with a zero-width CI
+    labelled = [(f"replica_{rid}", _estimate([s], sim.t_final, "trajectory_slope"))
+                for rid, s in results]
+    files = {"exponents.csv": _exponents_csv(labelled + [("mean", est)])}
     return report, files
 
 
@@ -310,8 +310,7 @@ def _run_criterion(cfg, bundle):
         rates = [invasion_rate(bundle.boundary, i, bundle.species_H(i), ics,
                                sim, cfg.replicas, seed=cfg.seed, burn_in=burn)
                  for i in range(bundle.model.dim)]
-        value, extinct = weighted_invasion_criterion(
-            np.ones(len(rates)), rates)
+        value, extinct = weighted_invasion_criterion(np.ones(len(rates)), rates)
         return {"index": -value, "extinct": extinct,
                 "invasion_rates": [r.to_dict() for r in rates]}, {}
     # sis / linear carry a closed-form candidate in the suite
@@ -342,9 +341,8 @@ def _run_scan(cfg, bundle):
     report = robustness_scan(family, values, ics, sim, cfg.replicas,
                              seed=cfg.seed, burn_in=cfg.options.get("burn_in"),
                              gap_tol=float(cfg.options.get("gap_tol", 0.0)), lanes=lanes)
-    rows = _exponent_rows([(f"{param}={theta}", est) for theta, est in report.entries])
-    files = {"exponents.csv": _csv_text(
-        ["label", "method", "point", "ci_low", "ci_high"], rows)}
+    files = {"exponents.csv": _exponents_csv(
+        [(f"{param}={theta}", est) for theta, est in report.entries])}
     out = {
         "parameter": param,
         "estimates": [{"theta": float(t), **e.to_dict()} for t, e in report.entries],
@@ -376,11 +374,10 @@ def _run_diagnostics(cfg, bundle):
     trajs = simulate_lanes(bundle.model, replica_streams(ics[:1], cfg.replicas, cfg.seed), sim)
     tight = tightness_check(trajs[0], suite, slack=float(cfg.options.get("slack", 0.0)),
                             tail_fraction=float(cfg.options.get("tail_fraction", 0.25)))
-    rows = []
-    for rid, traj in enumerate(trajs):
-        dyn = dynkin_residual(traj, suite.V, suite.H)
-        qv = qv_residual(traj, suite.V, suite.H, suite.gammaV)
-        rows += [[rid, t, d, q] for t, d, q in zip(traj.times.tolist(), dyn.tolist(), qv.tolist())]
+    blocks = [[np.full(len(traj.times), rid), traj.times,
+               dynkin_residual(traj, suite.V, suite.H),
+               qv_residual(traj, suite.V, suite.H, suite.gammaV)]
+              for rid, traj in enumerate(trajs)]
     report = {
         "suite": {"violations": suite_rep.violations, "passed": suite_rep.passed,
                   "tolerance": suite_rep.tolerance},
@@ -392,7 +389,8 @@ def _run_diagnostics(cfg, bundle):
         law = strong_law_check(trajs, suite.V, suite.H)
         report["strong_law"] = {"max_half": law.max_half, "max_full": law.max_full,
                                 "ratio": law.ratio, "shrinking": law.shrinking}
-    files = {"residuals.csv": _csv_text(["replica_id", "t", "dynkin", "qv"], rows)}
+    files = {"residuals.csv": _csv_text(["replica_id", "t", "dynkin", "qv"],
+                                        map(np.concatenate, zip(*blocks)))}
     return report, files
 
 

@@ -35,6 +35,10 @@ class NegativeParameter(ExtinctdError):
     pass
 
 
+class NonFiniteParameter(ExtinctdError):
+    pass
+
+
 class NonPositiveF(ExtinctdError):
     pass
 

@@ -37,12 +37,12 @@ class SimConfig:
     floor_epsilon: float = 1e-12
 
     def __post_init__(self):
-        if not (0 < self.dt <= self.t_final):
-            raise ValueError("need 0 < dt <= t_final")
-        if self.floor_epsilon <= 0:
-            raise ValueError("floor_epsilon must be positive")
-        if self.max_rate_bound is not None and self.max_rate_bound <= 0:
-            raise ValueError("max_rate_bound must be positive when given")
+        if not 0 < self.dt <= self.t_final < math.inf:  # false for NaN too
+            raise ValueError(f"need 0 < dt <= t_final < inf, got {self.dt!r}, {self.t_final!r}")
+        if not 0 < self.floor_epsilon < math.inf:
+            raise ValueError(f"floor_epsilon must be positive and finite: {self.floor_epsilon!r}")
+        if self.max_rate_bound is not None and not 0 < self.max_rate_bound < math.inf:
+            raise ValueError(f"max_rate_bound must be positive and finite: {self.max_rate_bound!r}")
 
 
 def _check_finite(x: np.ndarray, step: Optional[int] = None, t: Optional[float] = None):

@@ -154,7 +154,8 @@ def _dot(a, b):
 
 
 def _norm(x):
-    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def polar_blowup(model: ModelSpec, phi: Callable, psi: Callable,

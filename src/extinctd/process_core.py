@@ -136,10 +136,6 @@ class Trajectory:
         r = None if self.regimes is None else int(self.regimes[i])
         return StateVector(self.states[i].copy(), r)
 
-    @property
-    def final_state(self) -> StateVector:
-        return self.state_at(len(self.times) - 1)
-
 
 def validate_rate_matrix(q, n_regimes=None) -> np.ndarray:
     """Check a CTMC generator: off-diagonal >= 0, rows sum to zero."""

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from extinctd.cli import (
+    _csv_text,
     config_from_dict,
     dumps_report,
     emit_config,
@@ -12,9 +14,9 @@ from extinctd.cli import (
     parse_config,
     run_experiment,
 )
-from extinctd.errors import MissingField, ParseError, UnknownKey, UnknownModel
-from extinctd.integrators import simulate
-from extinctd.process_core import RngStream, StateVector, make_bundle
+from extinctd.errors import MissingField, NonFiniteParameter, ParseError, UnknownKey, UnknownModel
+from extinctd.integrators import simulate, simulate_lanes
+from extinctd.process_core import RngStream, StateVector, make_bundle, replica_streams
 
 
 def sis_config(out, experiment="criterion", **extra):
@@ -147,6 +149,118 @@ def test_simulate_experiment_follows_the_replica_rule(tmp_path):
                 rows[:, 4], -1 if traj.regimes is None else traj.regimes)
         inserted = len(data) - 4 * 2001
         assert inserted == 0 if params is None else inserted > 0
+
+
+def _fmt_float_per_value(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    return format(float(x), ".17g")
+
+
+def csv_text_per_value(header, rows) -> str:
+    """The row-by-row CSV writer that the column writer replaced: the oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([_fmt_float_per_value(v) if isinstance(v, (float, np.floating))
+                               else str(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+WRITER_COLUMNS = {
+    "int64": np.array([0, -1, 7, 2**62, -(2**63), 2**63 - 1, 12, 3]),
+    "python_int": [10**30, -(10**25), 0, 1, 2**64, 5, -7, 2**63],
+    "float64": np.array([-0.0, 5e-324, 1e308, 0.1, 1 / 3, -1.5e-300, 2.0**60, -2.5e-8]),
+    "float_list": [0.1, 0.2, 0.30000000000000004, 1e-7, 123456789.123, -0.0, 1e22, 1e16],
+    "float32": np.array([0.1, -2.5, 3e38, 1e-45, 0.0, 7.0, -0.0, 1e-8], dtype=np.float32),
+    "str": ["a", "mean", "alpha0=0.05", "", "replica_12", "x y", "-1", "trajectory_slope"],
+    "bool": [True, False, True, True, False, False, True, False],
+}
+
+
+def test_column_writer_gives_the_bytes_of_the_per_value_writer():
+    header = list(WRITER_COLUMNS)
+    columns = list(WRITER_COLUMNS.values())
+    text = _csv_text(header, columns)
+    assert text == csv_text_per_value(header, zip(*columns))
+    assert text.splitlines()[1].split(",")[:4] == ["0", str(10**30), "-0", "0.10000000000000001"]
+    # tuples of a few rows, transposed, as the exponents writers pass them
+    rows = [("replica_0", "trajectory_slope", 0.1, 0.1, 0.1), ("mean", "m", 1e308, -0.0, 5e-324)]
+    assert _csv_text(list("abcde"), zip(*rows)) == csv_text_per_value(list("abcde"), rows)
+    assert _csv_text(["t"], [np.empty(0)]) == csv_text_per_value(["t"], []) == "t\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_column_writer_rejects_non_finite_floats_like_the_per_value_writer(bad):
+    for column in ("float64", "float_list", "float32"):
+        columns = dict(WRITER_COLUMNS)
+        values = np.array(columns[column], dtype=np.asarray(columns[column]).dtype)
+        values[5] = bad
+        columns[column] = values
+        with pytest.raises(ValueError) as expected:  # the runners passed tolist() values
+            csv_text_per_value(list(columns), zip(*[np.asarray(c).tolist()
+                                                    for c in columns.values()]))
+        with pytest.raises(ValueError) as got:
+            _csv_text(list(columns), columns.values())
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("regimes", [1, 2])
+def test_simulate_writes_the_rows_of_the_per_value_writer(regimes, tmp_path):
+    # without regimes the last column is -1 on every row, with them the
+    # regime of each point; the bytes are those of the per-value rows
+    raw = sis_config(tmp_path / "out", experiment="simulate", sim={"dt": 0.001, "t_final": 1.0},
+                     ics=[[0.4, 0.5], [0.2, 0.7]])
+    if regimes == 2:
+        raw["model"]["params"] = {"adjacency": [[0, 1], [1, 0]], "beta": [0.2, 0.5],
+                                  "delta": [1.2, 0.8], "Q": [[-3.0, 3.0], [4.0, -4.0]]}
+        raw["ics"] = [{"x": [0.4, 0.5], "regime": 0}, {"x": [0.2, 0.7], "regime": 1}]
+    cfg = config_from_dict(raw)
+    run_experiment(cfg)
+    bundle = make_bundle(cfg.model_name, cfg.model_params)
+    replicas = replica_streams(cfg.state_vectors(None), cfg.replicas, cfg.seed)
+    rows = []
+    for (rid, _, _), traj in zip(replicas, simulate_lanes(bundle.model, replicas,
+                                                          cfg.sim_config())):
+        marks = [-1] * len(traj.times) if traj.regimes is None else traj.regimes.tolist()
+        rows += [[rid, t, *x, reg] for t, x, reg
+                 in zip(traj.times.tolist(), traj.states.tolist(), marks)]
+    text = (tmp_path / "out" / "trajectories.csv").read_text()
+    expected = csv_text_per_value(["replica_id", "t", "x_0", "x_1", "regime"], rows)
+    # equal line by line, so that a failure shows the first differing line,
+    # not pytest's (very slow) diff of two 4000-line texts
+    lines = list(zip(text.splitlines(), expected.splitlines()))
+    assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
+    assert text.count("\n") == expected.count("\n") == len(lines) and text[-1] == "\n"
+    last = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
+    assert last == ({"-1"} if regimes == 1 else {"0", "1"})
+
+
+NON_FINITE_PARAMS = {
+    "lorenz-eta": ("lorenz", {"gamma": 1.0, "z_star": 0.5, "eta": math.nan}, "eta"),
+    "lorenz-z_star": ("lorenz", {"z_star": math.nan}, "z_star"),
+    "lorenz-alpha0": ("lorenz", {"alpha0": math.inf}, "alpha0"),
+    "sis-beta": ("sis", {"adjacency": [[0, 1], [1, 0]], "beta": math.nan, "delta": 1.0}, "beta"),
+    "sis-Q": ("sis", {"adjacency": [[0, 1], [1, 0]], "beta": [0.2, 0.5], "delta": [1.2, 0.8],
+                      "Q": [[-1.0, 1.0], [-math.inf, 2.0]]}, "Q"),
+    "eco-discrete-r": ("eco-discrete", {"r": math.nan, "sigma": 0.2}, "r"),
+    "kolmogorov-sigma": ("kolmogorov", {"r": 0.5, "sigma": -math.inf}, "sigma"),
+    "linear-A": ("linear", {"A": [[-1.0, 0.0], [0.0, math.nan]]}, "A"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PARAMS))
+def test_config_rejects_non_finite_model_parameters(case, tmp_path, capsys):
+    name, params, bad = NON_FINITE_PARAMS[case]
+    raw = sis_config(tmp_path / "out")
+    raw["model"] = {"name": name, "params": params}
+    with pytest.raises(NonFiniteParameter, match=f"parameter '{bad}'"):
+        config_from_dict(raw)
+    path = write_config(tmp_path, raw)  # json writes NaN and Infinity, and reads them back
+    assert main(["validate", path]) == 1
+    assert f"parameter '{bad}' is not finite" in capsys.readouterr().err
+    finite = json.loads(json.dumps(raw).replace("-Infinity", "-1.0").replace("Infinity", "0.1")
+                        .replace("NaN", "0.1"))
+    config_from_dict(finite)
 
 
 def test_boundary_exponent_experiment(tmp_path):

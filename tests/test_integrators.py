@@ -28,6 +28,16 @@ def ou_model(theta=1.0, sigma=math.sqrt(2.0)):
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["dt", "t_final", "max_rate_bound", "floor_epsilon"])
+def test_sim_config_rejects_non_finite_values(name, value):
+    # a NaN max_rate_bound used to pass, and a two-regime SIS run with it made
+    # no regime jump; a NaN floor_epsilon turned the floor off
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{"dt": 0.001, "t_final": 1.0, name: value})
+    SimConfig(dt=0.001, t_final=1.0, max_rate_bound=None)
+
+
 def jump_model(q):
     q = np.asarray(q, dtype=float)
     return ModelSpec(

@@ -455,6 +455,22 @@ def test_ricker_noise_sampler_sized_draws_equal_single_draws(ricker_extinct):
 
 # -- the batch-first contract -----------------------------------------------------
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 30])
+def test_norm_keeps_the_bits_of_the_sum_of_squares_formula(dim):
+    from extinctd.models.base import _norm
+
+    def norm_by_formula(x):
+        return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+
+    rng = np.random.default_rng(dim)
+    block = rng.standard_normal((20_000, dim)) * 10.0 ** rng.uniform(-150, 150, (20_000, 1))
+    block[:3] = [0.0], [-0.0], [5e-324]
+    np.testing.assert_array_equal(_norm(block), norm_by_formula(block))
+    for x in block[:300]:
+        assert _norm(x) == norm_by_formula(x) and np.ndim(_norm(x)) == 0
+    assert _norm(block[0].tolist()) == 0.0  # lists are accepted, as by the formula
+
+
 RING5 = [[0, 1, 0, 0, 1], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [1, 0, 0, 1, 0]]
 FULL5 = (np.ones((5, 5)) - np.eye(5)).tolist()
 Q2 = [[-1.0, 1.0], [2.0, -2.0]]
