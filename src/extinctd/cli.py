@@ -7,10 +7,8 @@ significant digits, so reruns give the same bytes; every CSV comes from
 ``_csv_text``, which takes one array per column.  Replicas run in one thread.
 
 The simulate and diagnostics runners, ``boundary_exponent`` and
-``invasion_rate`` step the replicas of a discrete chain or a batch-first
-diffusion as lanes of one block with ``integrators.simulate_lanes``
-(``simulate``'s paths bit for bit); the SIS and linear spheres, whose
-callbacks take one state at a time, run one replica after another.  With
+``invasion_rate`` step their replicas as lanes of one block with
+``integrators.simulate_lanes`` (``simulate``'s paths bit for bit).  With
 the bundle's ``boundary_lanes`` (Lorenz), ``robustness_scan`` steps every
 scan value's replicas as lanes of one block.  The slope runner still calls
 ``simulate`` per replica through ``_map_indexed``, as perfbench's tracer
@@ -140,6 +138,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for name, value in cfg.model_params.items():
         if _nonfinite(value):
             raise NonFiniteParameter(f"model parameter {name!r} is not finite: {value!r}")
+    if _nonfinite(options.get("scan_values")):  # each becomes the scanned parameter's value
+        raise NonFiniteParameter(f"scan values of model parameter {options.get('scan_parameter')!r}"
+                                 f" are not all finite: {options['scan_values']!r}")
     cfg.sim_config()  # validate eagerly
     return cfg
 

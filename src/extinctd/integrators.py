@@ -1,8 +1,7 @@
 """Time-stepping kernels: Euler-Maruyama, thinned regime jump clocks,
 discrete-chain stepping, and Poissonization of chains into continuous time.
-``simulate`` runs one replica; ``simulate_lanes`` steps a run's replicas of
-a batch-first diffusion or of a discrete chain together in blocks and gives
-the same paths bit for bit.
+``simulate`` runs one replica; ``simulate_lanes`` steps a run's replicas
+together in blocks and gives the same paths bit for bit.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -324,24 +323,23 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     ``replica_streams`` returns), in order, each bit for bit the path
     ``simulate(model, ic, cfg, rng)`` gives, or ``reduce`` of that path.
 
-    The replicas of a discrete chain or of a ``batch_first`` diffusion step
-    in lockstep, in blocks of at most ``_LANES`` (n, dim) states, lowest
-    replicas first.  Each replica draws from its own generator in the order
-    ``simulate`` does: a diffusion lane its chunks of normals and regime
-    clock counts, a chain lane its next chunk of ``noise_sampler(gen, size)``
-    draws, never more than the steps left.  A lane whose regime clock fires
-    in a step takes that step alone by exact thinning, and one that reaches
-    the extinction floor stays frozen until its block ends.  Other models
-    and single replicas run through ``simulate``.  ``reduce`` maps each path
-    as it is cut from its block's record, so a caller that keeps only a
-    statistic of each path holds one block's record and one path at a time.
+    Two or more replicas step in lockstep, in blocks of at most ``_LANES``
+    (n, dim) states, lowest replicas first.  Each replica draws from its own
+    generator in the order ``simulate`` does: a diffusion lane its chunks of
+    normals and regime clock counts, a chain lane its next chunk of
+    ``noise_sampler(gen, size)`` draws, never more than the steps left.  A
+    lane whose regime clock fires in a step takes that step alone by exact
+    thinning, and one that reaches the extinction floor stays frozen until
+    its block ends.  A single replica runs through ``simulate``.  ``reduce``
+    maps each path as it is cut from its block's record, so a caller that
+    keeps only a statistic of each path holds one block's record and one
+    path at a time.
     A failure is raised for the lowest replica that fails, after the paths
     of the replicas below it are reduced, as running the replicas one after
     another would.
     """
     keep = (lambda traj: traj) if reduce is None else reduce
-    lockstep = model.family == "discrete_chain" or model.batch_first
-    if not lockstep or len(replicas) < 2:
+    if len(replicas) < 2:
         return [keep(simulate(model, ic, cfg, rng)) for _, ic, rng in replicas]
     for _, ic, _ in replicas:
         _check_dim(model, ic)

@@ -183,6 +183,16 @@ def _jump_part(model, f, x, s, squared=False):
     return out
 
 
+def _chain_mean(chain: ModelSpec, x, rng, n_mc: int, g: Callable) -> float:
+    """Monte Carlo mean of g(X_1) over ``n_mc`` steps of a chain from x: one
+    sized draw from ``rng`` (a default_rng(0) if None), one block step, g on
+    the (n_mc, dim) block of next states, and its values summed in draw
+    order, bit for bit as a loop of single draws if g gives each row's value."""
+    gen = np.random.default_rng(0) if rng is None else as_generator(rng)
+    xs = chain.step_map(np.tile(x, (n_mc, 1)), chain.noise_sampler(gen, n_mc))
+    return float(np.cumsum(g(np.asarray(xs, dtype=float)))[-1]) / n_mc
+
+
 def generator_apply(model: ModelSpec, f: Callable, state: StateVector,
                     rng=None, n_mc: int = 4000) -> float:
     """Numerically apply the generator L to f at a point.
@@ -193,13 +203,8 @@ def generator_apply(model: ModelSpec, f: Callable, state: StateVector,
     """
     x, s = state.x, state.regime
     if model.family == "discrete_chain":
-        gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
         f0 = float(f(x, s))
-        acc = 0.0
-        for _ in range(n_mc):
-            xi = model.noise_sampler(gen)
-            acc += float(f(np.asarray(model.step_map(x, xi), dtype=float), s)) - f0
-        return acc / n_mc
+        return _chain_mean(model, x, rng, n_mc, lambda xs: f(xs, s) - f0)
     grad, hess = _fd_grad_hess(f, x, s)
     drift = np.asarray(model.drift(x, s), dtype=float)
     out = float(drift @ grad)
@@ -214,14 +219,8 @@ def gamma_apply(model: ModelSpec, f: Callable, state: StateVector,
     """Carre du champ Gamma f = L(f^2) - 2 f Lf, evaluated numerically."""
     x, s = state.x, state.regime
     if model.family == "discrete_chain":
-        gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
         f0 = float(f(x, s))
-        acc = 0.0
-        for _ in range(n_mc):
-            xi = model.noise_sampler(gen)
-            d = float(f(np.asarray(model.step_map(x, xi), dtype=float), s)) - f0
-            acc += d * d
-        return acc / n_mc
+        return _chain_mean(model, x, rng, n_mc, lambda xs: np.square(f(xs, s) - f0))
     grad, _ = _fd_grad_hess(f, x, s)
     sig = _sigma_matrix(model, x, s)
     out = float(grad @ sig @ grad) if sig is not None else 0.0

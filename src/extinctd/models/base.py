@@ -149,8 +149,9 @@ class PolarFamily(NamedTuple):
 
 
 def _dot(a, b):
-    """Inner product over the last axis of one vector or a batch of them."""
-    return a @ b if a.ndim == 1 else np.sum(a * b, axis=-1)
+    """Inner product over the last axis of one vector or of each row of a
+    batch, each row bit for bit the 1-d ``a @ b``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _norm(x):
@@ -199,11 +200,13 @@ def polar_blowup(model: ModelSpec, phi: Callable, psi: Callable,
 
     def sphere_drift(v, r, s, noisy):
         a, mu_r, ww = ito(v, r, s, noisy)
-        return a - (mu_r - ww) * v, mu_r
+        return a - (mu_r - ww)[..., None] * v, mu_r
 
     def sphere_noise(v, r, s):
         g, w = noise(v, r, s)
-        return (np.diag(g) if diag else g) - np.outer(v, w), w  # (I - vv') psi, psi'v
+        if diag:  # np.diag of each row
+            g = np.where(np.eye(n, dtype=bool), g[..., None, :], 0.0)
+        return g - v[..., :, None] * w[..., None, :], w  # (I - vv') psi, psi'v
 
     def H_at(v, r, s, noisy):
         _, mu_r, ww = ito(v, r, s, noisy)
@@ -225,30 +228,34 @@ def polar_blowup(model: ModelSpec, phi: Callable, psi: Callable,
         w = noise(*polar(x), s)[1]
         return _dot(w, w)
 
-    def unit(v, s=None):
+    def unit(v, s=None):  # a zero row has no direction and goes to the diagonal one
         if nonneg:
             v = np.maximum(v, 0.0)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.full(n, 1.0 / np.sqrt(n))
-        return v / nv
+        nv = np.sqrt(_dot(v, v))[..., None]
+        if np.count_nonzero(nv) == nv.size:
+            return v / nv
+        return np.where(nv == 0.0, 1.0 / np.sqrt(n), v / np.where(nv == 0.0, 1.0, nv))
 
     def bl_drift(u, s=None):
-        v, r = u[:n], u[n]
+        v, r = u[..., :n], u[..., n:]
         dv, mu_r = sphere_drift(v, r, s, d > 0)
-        return np.concatenate([dv, [r * mu_r]])
+        return np.concatenate([dv, r * mu_r[..., None]], axis=-1)
 
     def bl_diffusion(u, s=None):
-        v, r = u[:n], u[n]
+        v, r = u[..., :n], u[..., n:]
         mat, w = sphere_noise(v, r, s)
-        return np.vstack([mat, r * w])
+        return np.concatenate([mat, (r * w)[..., None, :]], axis=-2)
+
+    def bl_project(u, s=None):
+        r = u[..., n:]  # clamped as max(r, 0.0) does, which keeps -0.0 and NaN
+        return np.concatenate([unit(u[..., :n]), np.where(r < 0.0, 0.0, r)], axis=-1)
 
     regimes = dict(family=model.family, switch_rates=model.switch_rates,
                    n_regimes=model.n_regimes)
     blowup = ModelSpec(
         dim=n + 1, noise_dim=d, drift=bl_drift,
         diffusion=bl_diffusion if d > 0 else None,
-        domain_projection=lambda u, s=None: np.concatenate([unit(u[:n]), [max(u[n], 0.0)]]),
+        domain_projection=bl_project,
         extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., n]),
         name=f"{model.name}-polar", **regimes,
     )

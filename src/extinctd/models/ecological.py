@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonPositiveF
-from ..process_core import ModelSpec, StateVector
-from ..lyapunov import LyapunovSuite
+from ..process_core import ModelSpec, StateVector, as_generator
+from ..lyapunov import LyapunovSuite, _chain_mean
 from .base import ModelBundle, calibrate_suite_constant
 
 
@@ -111,15 +111,16 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
             return np.exp(np.sum(np.asarray(x, dtype=float), axis=-1))
 
     # suite per the Poissonization construction: U = sqrt(Upsilon),
-    # W = Upsilon^(1/4), primes scaled by the contraction factor rho_bar
+    # W = Upsilon^(1/4), primes scaled by the contraction factor rho_bar;
+    # float_power keeps libm's pow for each row of a block, as for one state
     def U(x, s=None):
-        return Upsilon(x) ** 0.5
+        return np.float_power(Upsilon(x), 0.5)
 
     def Uprime(x, s=None):
         return (1.0 - rho_bar) * U(x, s)
 
     def W(x, s=None):
-        return Upsilon(x) ** 0.25
+        return np.float_power(Upsilon(x), 0.25)
 
     def Wprime(x, s=None):
         return np.maximum((1.0 - np.sqrt(rho_bar)) * W(x, s), 1.0)
@@ -151,20 +152,11 @@ def eco_drift_check(model: ModelSpec, Upsilon, rho_bar: float, c_bar: float,
 
     Returns (point, violation) pairs; positive violation means the asserted
     drift inequality failed at that state within Monte Carlo accuracy.
+    ``Upsilon`` is evaluated on the (n_mc, dim) block of next states.
     """
-    from ..process_core import as_generator
-
     gen = as_generator(rng)
-    out = []
-    for p in points:
-        acc = 0.0
-        for _ in range(n_mc):
-            xi = model.noise_sampler(gen)
-            acc += float(Upsilon(np.asarray(model.step_map(p.x, xi), dtype=float)))
-        p_up = acc / n_mc
-        bound = rho_bar ** 2 * float(Upsilon(p.x)) + c_bar ** 2
-        out.append((p, p_up - bound))
-    return out
+    return [(p, _chain_mean(model, p.x, gen, n_mc, Upsilon)
+             - (rho_bar ** 2 * float(Upsilon(p.x)) + c_bar ** 2)) for p in points]
 
 
 def make_ricker(r: float, sigma: float, inner_mc: int = 10_000,

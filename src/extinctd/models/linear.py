@@ -38,7 +38,7 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
         family="sde", dim=n, noise_dim=1 if noisy else 0,
         drift=drift, diffusion=diffusion if noisy else None,
         extinction_distance=lambda x, s=None: _norm(x),
-        name="linear", batch_first=True,
+        name="linear",
     )
 
     # unit coefficients: F(r v) = r F(v) and G(r v) = r G(v)

@@ -23,6 +23,15 @@ from ..process_core import ModelSpec, StateVector
 from .base import ModelBundle, QuadrupleMap, power_suite
 
 
+def _remainder(x, p):
+    """math.remainder(x, p) of each entry of x, for p > 0: the exact fmod,
+    folded onto [-p/2, p/2] (exactly, by Sterbenz's lemma), a tie going to
+    the even quotient, so +-3 pi maps to -+pi for p = 2 pi."""
+    m, odd = np.fmod(x, p), np.abs(np.fmod(x, 2.0 * p)) >= p  # odd truncated quotient
+    fold = (np.abs(m) > 0.5 * p) | (np.abs(m) == 0.5 * p) & odd
+    return np.where(fold, m - np.copysign(p, m), m)
+
+
 def lorenz_cylinder(gamma, z_star, alpha0):
     """The boundary of the blow-up: the (theta, z) cylinder with R frozen at
     zero, where H(theta, z) = 1 - (z/2) sin(2 theta) and its occupation
@@ -47,7 +56,7 @@ def lorenz_cylinder(gamma, z_star, alpha0):
         family="sde", dim=2, noise_dim=1 if noisy else 0,
         drift=drift, diffusion=(lambda u, s=None: noise) if noisy else None,
         extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
-        name="lorenz-cylinder", batch_first=True,
+        name="lorenz-cylinder",
     )
 
     def boundary_H(u, s=None):
@@ -80,7 +89,7 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
         drift=drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
         extinction_distance=lambda u, s=None: np.sqrt(
             np.asarray(u)[..., 0] ** 2 + np.asarray(u)[..., 1] ** 2),
-        name="lorenz", batch_first=True,
+        name="lorenz",
     )
 
     def V(u, s=None):
@@ -106,18 +115,19 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
 
     # full blow-up (theta, R, z)
     def bl_drift(u, s=None):
-        th, r, z = u
-        st = math.sin(th)
-        ct = math.cos(th)
+        th, r, z = u.T
+        st = np.sin(th)
+        ct = np.cos(th)
         return np.array([
             1.0 - z * st * st,
-            r * (-1.0 + 0.5 * z * math.sin(2.0 * th)),
+            r * (-1.0 + 0.5 * z * np.sin(2.0 * th)),
             -(gamma * (z - z_star) + r * r * st * (st + eta * (ct - st))),
-        ])
+        ]).T
 
     def bl_project(u, s=None):
-        th = math.remainder(u[0], 2.0 * math.pi)
-        return np.array([th, max(u[1], 0.0), u[2]])
+        th, r, z = u.T
+        # r clamped as max(r, 0.0) does, which keeps -0.0 and NaN
+        return np.array([_remainder(th, 2.0 * math.pi), np.where(r < 0.0, 0.0, r), z]).T
 
     blowup = ModelSpec(
         family="sde", dim=3, noise_dim=1 if noisy else 0,

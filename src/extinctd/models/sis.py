@@ -38,8 +38,8 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     x_i = 0 (default: sigma_scale * x_i, which keeps nodes in [0,1] and the
     origin exactly invariant).  A custom sigma must broadcast over batched
     x and accept s as None (single regime), an int, or an int array, and
-    give each row of a batch its one-state value bit for bit: the model is
-    ``batch_first``.
+    give each row of a batch its one-state value bit for bit, as the main
+    model, the sphere and the blow-up all step blocks of states.
     """
     adj = np.asarray(adjacency, dtype=float)
     if adj.ndim == 2:
@@ -96,7 +96,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         n_regimes=m,
         domain_projection=lambda x, s=None: np.minimum(1.0, np.maximum(0.0, x)),
         extinction_distance=lambda x, s=None: _norm(x),
-        name="sis", batch_first=True,
+        name="sis",
     )
 
     # unit coefficients at x = r v; psi is diagonal, like diffusion_diag

@@ -177,21 +177,16 @@ class ModelSpec:
     ``extinction_distance`` is the model-declared d(., M0); it vanishes
     exactly on the extinction set.
 
-    ``batch_first`` declares that the callbacks of a diffusion (``drift``,
-    ``diffusion``/``diffusion_diag``, ``domain_projection`` and
-    ``extinction_distance``) take a block of states ``(n, dim)`` with
+    The callbacks take one state or a block of states, because
+    ``integrators.simulate_lanes`` steps replicas as lockstep blocks.  A
+    diffusion's ``drift``, ``diffusion``/``diffusion_diag``,
+    ``domain_projection`` and ``extinction_distance`` take one state
+    ``(dim,)`` with regime ``None`` or an int, or a block ``(n, dim)`` with
     regimes ``None``, an int or an ``(n,)`` int array, and return, bit for
-    bit, the stacked per-row values.  ``integrators.simulate_lanes`` steps
-    the replicas of such a model in lockstep blocks, and those of any other
-    diffusion one at a time.  The main models of the SIS, linear, Lorenz and
-    Kolmogorov bundles and the Lorenz cylinder declare it; the polar sphere
-    and blow-up specs and the Lorenz blow-up take one state at a time.
-    ``switch_rates`` always does.
-
-    A discrete chain is always stepped in blocks, so its callbacks must
-    take blocks: ``step_map(x, xi)`` takes one state with one draw, or a
-    block ``(n, dim)`` with ``(n, ...)`` draws, and returns the stacked
-    per-row values bit for bit, as ``domain_projection`` and
+    bit, the stacked per-row values; ``switch_rates(x)`` is only called on
+    one state.  A discrete chain's ``step_map(x, xi)`` takes one state with
+    one draw, or a block ``(n, dim)`` with ``(n, ...)`` draws, and returns
+    the stacked per-row values bit for bit, as ``domain_projection`` and
     ``extinction_distance`` (with regime ``None``) do.
     ``noise_sampler(gen)`` returns one draw; ``noise_sampler(gen, size)``
     returns ``size`` draws stacked on a leading axis, equal to ``size``
@@ -212,7 +207,6 @@ class ModelSpec:
     noise_sampler: Optional[Callable] = None
     domain_projection: Callable = _identity_projection
     name: str = ""
-    batch_first: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -240,8 +234,6 @@ class ModelSpec:
                 raise MissingField("discrete_chain requires step_map and noise_sampler")
             if self.drift is not None or self.diffusion is not None:
                 raise MissingField("drift/diffusion are diffusion-only fields")
-            if self.batch_first:
-                raise MissingField("batch_first is a diffusion-only field")
 
 
 def distance_to_extinction(model: ModelSpec, state: StateVector) -> float:

@@ -27,7 +27,7 @@ from extinctd.exponents import (
     slope_experiment,
     trajectory_slope,
 )
-from extinctd.integrators import SimConfig, simulate
+from extinctd.integrators import SimConfig, simulate, simulate_lanes
 from extinctd.lyapunov import (
     LyapunovSuite,
     cumulative_integral,
@@ -38,7 +38,7 @@ from extinctd.lyapunov import (
 )
 from extinctd.models import make_linear_sde, make_lorenz, make_ricker, make_sis
 from extinctd.models.kolmogorov import make_logistic
-from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory
+from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory, replica_streams
 
 
 def check(name, ok, detail=""):
@@ -114,14 +114,12 @@ def test_criterion_04_sis_switching():
     cfg_occ = SimConfig(dt=1e-2, t_final=200.0)
     reps = 12
     x0 = StateVector(np.array([0.5, 0.5]), 0)
-    occ = []
-    for r in range(reps):
-        # start on the boundary so the run keeps switching for the full horizon
-        traj = simulate(bundle.boundary, StateVector(np.array([0.6, 0.8]), 0),
-                        cfg_occ, RngStream(5, r))
-        occ.append(occupation_average(
-            traj, lambda x, s: (np.asarray(s) == 0).astype(float)))
-    occ = np.asarray(occ)
+    # start on the boundary so the run keeps switching for the full horizon;
+    # replica r draws from RngStream(5, r)
+    occ = np.asarray(simulate_lanes(
+        bundle.boundary, replica_streams([StateVector(np.array([0.6, 0.8]), 0)], reps, 5),
+        cfg_occ, lambda traj: occupation_average(
+            traj, lambda x, s: (np.asarray(s) == 0).astype(float))))
     se = occ.std(ddof=1) / math.sqrt(reps)
     ok_occ = abs(occ.mean() - rho[0]) <= 3.0 * se
 

@@ -263,6 +263,23 @@ def test_config_rejects_non_finite_model_parameters(case, tmp_path, capsys):
     config_from_dict(finite)
 
 
+@pytest.mark.parametrize("name,params,param", [
+    ("sis", {"adjacency": [[0, 1], [1, 0]], "beta": 0.3, "delta": 1.0}, "beta"),
+    ("lorenz", {}, "alpha0"),
+])
+def test_config_rejects_non_finite_scan_values(name, params, param, tmp_path, capsys):
+    # at run time a NaN value would fail only at step 0, as a non-finite state
+    raw = sis_config(tmp_path / "out", experiment="robustness-scan",
+                     options={"scan_parameter": param, "scan_values": [0.1, math.nan]})
+    raw["model"] = {"name": name, "params": params}
+    with pytest.raises(NonFiniteParameter, match=f"parameter '{param}' are not all finite"):
+        config_from_dict(raw)
+    assert main(["validate", write_config(tmp_path, raw)]) == 1
+    assert f"parameter '{param}' are not all finite" in capsys.readouterr().err
+    raw["options"]["scan_values"] = [0.1, 0.2]
+    config_from_dict(raw)
+
+
 def test_boundary_exponent_experiment(tmp_path):
     raw = sis_config(tmp_path / "out", experiment="boundary-exponent",
                      sim={"dt": 0.001, "t_final": 60.0})

@@ -79,8 +79,7 @@ def test_simulate_nonfinite_names_the_step_and_time():
     # x climbs by dt = 0.5 per step; step 4 starts at x = 2 and blows up
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
-                  batch_first=True)
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     cfg = SimConfig(dt=0.5, t_final=5.0)
     with pytest.raises(NonFiniteState, match=r"at step 4, t = 2\.5\b"):
         simulate(m, StateVector(np.array([0.0])), cfg, RngStream(0))
@@ -89,8 +88,7 @@ def test_simulate_nonfinite_names_the_step_and_time():
 def test_simulate_failures_name_the_replica_step_and_time():
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
-                  batch_first=True)
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     cfg = SimConfig(dt=0.5, t_final=5.0)
     with pytest.raises(NonFiniteState, match=r"^replica 3: non-finite state at step 4, t = 2\.5\b"):
         simulate(m, StateVector(np.array([0.0])), cfg, RngStream(7, 3))
@@ -139,8 +137,7 @@ def test_simulate_lanes_splices_inserted_and_folded_jumps(monkeypatch):
                   drift=lambda x, s: -x * (1.0 + np.asarray(s, dtype=float)[..., None]),
                   diffusion_diag=lambda x, s: 0.3 * x,
                   switch_rates=lambda x: q, n_regimes=2,
-                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]),
-                  batch_first=True)
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
     cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0)
     replicas = replica_streams([StateVector(np.array([1.0]), 0),
                                 StateVector(np.array([0.5]), 1)], 2, 9)
@@ -162,8 +159,7 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     # another raise lane 1's error, and so must the lockstep block
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
-                  batch_first=True)
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     cfg = SimConfig(dt=0.5, t_final=5.0)
     ics = [StateVector(np.array([x])) for x in (-100.0, 0.0, -100.0, 1.0)]
     replicas = replica_streams(ics, 1, 7)
@@ -178,8 +174,7 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     jumpy = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0,
                       drift=lambda x, s: np.ones_like(x),
                       switch_rates=lambda x: q * (1.0 if x[0] < 1.0 else 10.0), n_regimes=2,
-                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
-                      batch_first=True)
+                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     cfg = SimConfig(dt=0.01, t_final=50.0, max_rate_bound=1.0)
     ics = [StateVector(np.array([x]), 0) for x in (-1e6, -1.0, -1e6, 2.0)]
     replicas = replica_streams(ics, 1, 3)
@@ -201,8 +196,7 @@ def test_simulate_lanes_reduces_the_paths_below_a_failure_before_raising():
 
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x >= 2.0, np.inf, 1.0),
-                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]),
-                  batch_first=True)
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     cfg = SimConfig(dt=0.5, t_final=5.0)
     replicas = replica_streams([StateVector(np.array([x])) for x in (-100.0, 0.0)], 1, 7)
     slope = lambda traj: trajectory_slope(traj, lambda x, s=None: x[..., 0]).point
@@ -300,8 +294,7 @@ def test_simulate_lanes_freezes_a_lane_at_the_floor():
     # stepping it on would raise an error that no replica raises alone
     m = ModelSpec(family="sde", dim=1, noise_dim=0,
                   drift=lambda x, s: np.where(x < 0.15, np.inf, -1.0),
-                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]),
-                  batch_first=True)
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
     cfg = SimConfig(dt=0.1, t_final=2.0, floor_epsilon=0.15)
     replicas = replica_streams([StateVector(np.array([x])) for x in (0.3, 10.0)], 1, 0)
     want = [simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
@@ -331,20 +324,26 @@ def test_simulate_lanes_steps_blocks_in_replica_order(monkeypatch, sis_k2):
     assert final == [t.states[-1].tolist() for t in want]
 
 
-def test_simulate_lanes_runs_specs_without_batch_first_one_at_a_time(sis_switching,
-                                                                      lorenz_noisy):
-    # the sphere boundaries and the Lorenz blow-up take one state at a time;
-    # stepped as a block, the sphere projection would share one norm across
-    # lanes
+def test_simulate_lanes_steps_the_spheres_and_blowups_as_blocks(monkeypatch, sis_switching,
+                                                                lorenz_noisy):
+    # the sphere boundaries and the Lorenz blow-up step as blocks; a sphere
+    # projection that shared one norm across lanes would fail here
+    import extinctd.integrators as integrators
+
     linear = make_linear_sde([[-1.0, 0.7], [-0.4, -2.0]], [[0.3, 0.2], [-0.1, 0.4]])
     cfg = SimConfig(dt=0.01, t_final=2.0)
+    blocks = []
+    step_block = integrators._simulate_block
+    monkeypatch.setattr(integrators, "_simulate_block",
+                        lambda m, reps, c: blocks.append(len(reps)) or step_block(m, reps, c))
     for spec, ic in ((sis_switching.boundary, sis_switching.boundary_ic),
                      (linear.boundary, linear.boundary_ic),
                      (lorenz_noisy.blowup, StateVector(np.array([0.9, 0.3, 0.5])))):
-        assert not spec.batch_first
         replicas = replica_streams([ic], 2, 5)
         want = [simulate(spec, ic, cfg, rng) for _, ic, rng in replicas]
+        blocks.clear()
         _assert_same_paths(simulate_lanes(spec, replicas, cfg), want)
+        assert blocks == [2], spec.name
 
 
 @pytest.mark.parametrize("alpha0", [0.05, 0.0])

@@ -359,6 +359,41 @@ def test_h_agreement_eco_chain(ricker_extinct):
         assert abs(lv - h) <= 5e-3
 
 
+def test_chain_monte_carlo_gives_the_bits_of_the_single_draw_loop(ricker_extinct):
+    # generator_apply, gamma_apply and eco_drift_check step one block of
+    # n_mc draws; the loop over single draws that they replaced is the oracle
+    from extinctd.lyapunov import gamma_apply
+
+    model, suite = ricker_extinct.model, ricker_extinct.suite
+
+    def loop_mean(g, x, gen, n_mc):
+        acc = 0.0
+        for _ in range(n_mc):
+            acc += g(np.asarray(model.step_map(x, model.noise_sampler(gen)), dtype=float))
+        return acc / n_mc
+
+    for x in ([0.2], [0.7], [1.5]):
+        p = StateVector(np.array(x))
+        for f in (suite.V, suite.W, suite.U):
+            f0 = float(f(p.x, None))
+            lf = loop_mean(lambda y: float(f(y, None)) - f0, p.x, RngStream(55).generator(), 3000)
+            gf = loop_mean(lambda y: (float(f(y, None)) - f0) * (float(f(y, None)) - f0),
+                           p.x, RngStream(56).generator(), 3000)
+            assert generator_apply(model, f, p, rng=RngStream(55), n_mc=3000) == lf
+            assert gamma_apply(model, f, p, rng=RngStream(56), n_mc=3000) == gf
+
+    def upsilon(x, s=None):
+        return np.exp(np.sum(np.asarray(x, dtype=float), axis=-1))
+
+    points = [StateVector(np.array([v])) for v in (0.1, 0.7, 2.0)]
+    gen = RngStream(11).generator()
+    want = [loop_mean(lambda y: float(upsilon(y)), p.x, gen, 2000)
+            - (0.25 * float(upsilon(p.x)) + 1.4 ** 2) for p in points]
+    rows = eco_drift_check(model, upsilon, rho_bar=0.5, c_bar=1.4, points=points,
+                           rng=RngStream(11), n_mc=2000)
+    assert [v for _, v in rows] == want
+
+
 def test_suite_diagnostics_eco_and_kolmogorov(ricker_extinct):
     from extinctd.lyapunov import suite_diagnostics
     from extinctd.models import make_logistic
@@ -487,34 +522,65 @@ def _cylinder_lanes():
     return lorenz_cylinder(gamma, z_star, alpha0)[0], (-4.0, 4.0), rows
 
 
+LINEAR4 = [[-1.0, 0.7, 0.2, 0.0], [-0.4, -2.0, 0.3, 0.1], [0.5, 0.0, -1.5, 0.6],
+           [0.1, -0.3, 0.2, -0.8]]
+SIGMA4 = [[0.3, 0.2, 0.0, -0.1], [-0.1, 0.4, 0.2, 0.0], [0.0, 0.1, 0.3, 0.2],
+          [0.2, 0.0, -0.1, 0.5]]
+
+
+def _polar_specs(build, lo_hi):
+    # the sphere boundary and the blow-up of a polar family, each with a zero
+    # row for the sphere projection's fallback direction
+    def case(attr):
+        spec = getattr(build(), attr)
+        return spec, lo_hi, None, np.zeros((1, spec.dim))
+    return {"sphere": lambda: case("boundary"), "blowup": lambda: case("blowup")}
+
+
+def _lorenz_blowup(alpha0):
+    # a zero row, and angles where the fold onto [-pi, pi] ties
+    spec = make_lorenz(0.7, 1.5, 1.3, alpha0).blowup
+    edge = [[0.0, 0.0, 0.0]] + [[th, 0.5, 1.0] for th in (math.pi, -math.pi, 3 * math.pi,
+                                                           -3 * math.pi)]
+    return spec, (-4.0, 4.0), None, np.array(edge)
+
+
 CONTRACT_CASES = {
     "sis-one-regime": lambda: (make_sis(FULL5, beta=0.3, delta=1.0).model, (-0.2, 1.2)),
     "sis-two-regime-shared": lambda: (make_sis(FULL5, beta=[0.2, 0.5], delta=[1.2, 0.8],
                                                Q=Q2).model, (-0.2, 1.2)),
     "sis-two-regime": lambda: (make_sis([FULL5, RING5], beta=[0.2, 0.5], delta=[1.2, 0.8],
                                         Q=Q2).model, (-0.2, 1.2)),
-    "linear-noisy": lambda: (make_linear_sde(
-        [[-1.0, 0.7, 0.2, 0.0], [-0.4, -2.0, 0.3, 0.1], [0.5, 0.0, -1.5, 0.6], [0.1, -0.3, 0.2, -0.8]],
-        [[0.3, 0.2, 0.0, -0.1], [-0.1, 0.4, 0.2, 0.0], [0.0, 0.1, 0.3, 0.2], [0.2, 0.0, -0.1, 0.5]]
-    ).model, (-2.0, 2.0)),
+    "linear-noisy": lambda: (make_linear_sde(LINEAR4, SIGMA4).model, (-2.0, 2.0)),
     "lorenz-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.4).model, (-4.0, 4.0)),
     "lorenz-cylinder-noisy": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.05).boundary, (-4.0, 4.0)),
     "lorenz-cylinder": lambda: (make_lorenz(0.7, 1.5, 1.3, 0.0).boundary, (-4.0, 4.0)),
     "logistic-noisy": lambda: (make_logistic(0.1, 0.8).model, (-0.5, 2.0)),
     "lorenz-cylinder-lanes": _cylinder_lanes,
+    "lorenz-blowup-noisy": lambda: _lorenz_blowup(0.05),
+    "lorenz-blowup": lambda: _lorenz_blowup(0.0),
 }
+CONTRACT_CASES.update({f"{name}-{kind}": case for name, build, lo_hi in (
+    ("sis-one-regime", lambda: make_sis(FULL5, beta=0.3, delta=1.0), (-0.2, 1.2)),
+    ("sis-two-regime", lambda: make_sis([FULL5, RING5], beta=[0.2, 0.5], delta=[1.2, 0.8],
+                                        Q=Q2), (-0.2, 1.2)),
+    ("linear-noisy", lambda: make_linear_sde(LINEAR4, SIGMA4), (-2.0, 2.0)),
+    ("linear", lambda: make_linear_sde(LINEAR4), (-2.0, 2.0)),
+) for kind, case in _polar_specs(build, lo_hi).items()})
 
 
-@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
-def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
-    # the lockstep engine steps replicas as one block; it equals simulate()
-    # only if each callback's block value is its per-row values, bit for bit
-    model, (lo, hi), *row_models = CONTRACT_CASES[case]()
-    row_models = row_models[0] if row_models else [model] * 40
-    assert model.batch_first
+def _assert_stacked_rows(model, lo, hi, row_models=None, edge=()):
+    """Each diffusion callback of ``model`` on a block of 40 random rows in
+    [lo, hi) and the ``edge`` rows gives, bit for bit, the stacked values of
+    ``row_models[i]`` (default ``model``) at row i."""
     gen = np.random.default_rng(31)
     x = gen.uniform(lo, hi, size=(40, model.dim))
     s = gen.integers(model.n_regimes, size=40) if model.n_regimes > 1 else None
+    if len(edge):
+        x = np.vstack([x, edge])
+        if s is not None:
+            s = np.concatenate([s, gen.integers(model.n_regimes, size=len(edge))])
+    row_models = row_models or [model] * len(x)
     names = [n for n in ("drift", "diffusion", "diffusion_diag", "domain_projection",
                          "extinction_distance") if getattr(model, n) is not None]
     # a noise-free row model steps as a zero noise column
@@ -525,4 +591,51 @@ def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
             x[i], None if s is None else int(s[i])), dtype=float)
             for i, m in enumerate(row_models)])
         block = np.broadcast_to(np.asarray(f(x, s), dtype=float), rows.shape)
-        assert _bits(block.ravel()) == _bits(rows.ravel()), name
+        assert _bits(block.ravel()) == _bits(rows.ravel()), (model.name, name)
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_diffusion_callbacks_give_the_stacked_rows_bit_for_bit(case):
+    # the lockstep engine steps replicas as one block; it equals simulate()
+    # only if each callback's block value is its per-row values, bit for bit
+    model, (lo, hi), *rest = CONTRACT_CASES[case]()
+    _assert_stacked_rows(model, lo, hi, *rest)
+
+
+REGISTERED_PARAMS = {
+    "sis": {"adjacency": RING5, "beta": [0.2, 0.5], "delta": [1.2, 0.8], "Q": Q2},
+    "lorenz": {"alpha0": 0.05},
+    "linear": {"A": [[-1.0, 0.7], [-0.4, -2.0]], "Sigma": [[0.3, 0.2], [-0.1, 0.4]]},
+    "eco-discrete": {"r": -0.3, "sigma": 0.2, "inner_mc": 100},
+    "kolmogorov": {"r": 0.1, "sigma": 0.8},
+}
+
+
+def test_every_registered_diffusion_spec_steps_blocks_bit_for_bit():
+    # simulate_lanes steps every diffusion as blocks, so no family may ship
+    # a spec whose callbacks take one state only
+    from extinctd.process_core import make_bundle, registered_models
+
+    assert sorted(REGISTERED_PARAMS) == registered_models()
+    checked = 0
+    for name in registered_models():
+        bundle = make_bundle(name, REGISTERED_PARAMS[name])
+        for spec in (bundle.model, bundle.boundary, bundle.blowup):
+            if spec is not None and spec.family != "discrete_chain":
+                _assert_stacked_rows(spec, -0.5, 1.5, edge=np.zeros((1, spec.dim)))
+                checked += 1
+    assert checked == 11  # sis, linear, lorenz 3 each; kolmogorov's boundary is its model
+
+
+def test_lorenz_blowup_projection_folds_the_angle_as_math_remainder():
+    project = make_lorenz(0.7, 1.5, 1.3, 0.0).blowup.domain_projection
+    p = 2.0 * math.pi
+    th = np.concatenate([np.random.default_rng(9).uniform(-60.0, 60.0, 5000),
+                         [k * math.pi for k in range(-9, 10)],
+                         [p * (k + 0.5) for k in range(-9, 9)], [-0.0, 5e-324, 1e300]])
+    r = np.resize([-0.5, -0.0, 0.7], th.shape)
+    u = np.stack([th, r, np.ones_like(th)], axis=-1)
+    want = [[math.remainder(t, p), max(q, 0.0), 1.0] for t, q in zip(th.tolist(), r.tolist())]
+    assert _bits(project(u)) == _bits(want)
+    assert project(np.array([3 * math.pi, 0.5, 1.0]))[0] == -math.pi
+    assert project(np.array([-3 * math.pi, 0.5, 1.0]))[0] == math.pi
