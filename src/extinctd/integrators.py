@@ -1,7 +1,8 @@
 """Time-stepping kernels: Euler-Maruyama, thinned regime jump clocks,
 discrete-chain stepping, and Poissonization of chains into continuous time.
-``simulate`` runs one replica; ``simulate_lanes`` steps a run's replicas
-together in blocks and gives the same paths bit for bit.
+There is one path kernel: ``simulate_lanes`` steps a run's replicas together
+in blocks, each replica drawing from its own generator, and ``simulate`` is a
+block of one lane, so both give a replica the same path bit for bit.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -69,16 +70,20 @@ def _advance(model: ModelSpec, x, s, h, z):
 def em_step(model: ModelSpec, state: StateVector, dt: float, noise=None) -> StateVector:
     """Euler-Maruyama step: domain_projection(x + F dt + sigma * sqrt(dt) * z).
 
-    ``noise`` holds unit standard normals (scaled by sqrt(dt) internally);
-    pass None for deterministic models.  The regime is left unchanged.
+    ``noise`` holds ``noise_dim`` unit standard normals (scaled by sqrt(dt)
+    internally); pass None for deterministic models.  The regime is left
+    unchanged.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    _check_dim(model, state)
     z = None
     if model.noise_dim > 0:
         if noise is None:
             raise ValueError("model has noise_dim > 0; supply a noise vector")
         z = np.asarray(noise, dtype=float)
+        if z.shape != (model.noise_dim,):
+            raise ValueError(f"noise has shape {z.shape}, model wants ({model.noise_dim},)")
     xn = _advance(model, state.x, state.regime, dt, z)
     _check_finite(xn)
     return StateVector(xn, state.regime)
@@ -156,38 +161,6 @@ def discrete_step(model: ModelSpec, state: StateVector, rng) -> StateVector:
     return StateVector(xn, state.regime)
 
 
-class _Recorder:
-    """Growable (times, states, regimes, jumps) buffers."""
-
-    def __init__(self, dim, n_hint, track_regime):
-        cap = n_hint + 16
-        self.times = np.empty(cap)
-        self.states = np.empty((cap, dim))
-        self.regimes = np.empty(cap, dtype=np.int64) if track_regime else None
-        self.jumps = []
-        self.n = 0
-
-    def push(self, t, x, s, jump=False):
-        if self.n == len(self.times):
-            grow = max(64, self.n // 2)
-            self.times = np.concatenate([self.times, np.empty(grow)])
-            self.states = np.concatenate([self.states, np.empty((grow, self.states.shape[1]))])
-            if self.regimes is not None:
-                self.regimes = np.concatenate([self.regimes, np.empty(grow, dtype=np.int64)])
-        self.times[self.n] = t
-        self.states[self.n] = x
-        if self.regimes is not None:
-            self.regimes[self.n] = s
-        if jump:
-            self.jumps.append(self.n)
-        self.n += 1
-
-    def trajectory(self) -> Trajectory:
-        reg = None if self.regimes is None else self.regimes[: self.n].copy()
-        return Trajectory(self.times[: self.n].copy(), self.states[: self.n].copy(),
-                          reg, np.asarray(self.jumps, dtype=np.int64))
-
-
 def _step_count(cfg: SimConfig) -> int:
     n_steps = int(round(cfg.t_final / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.dt:
@@ -237,79 +210,25 @@ def _jump_step(model, x, s, k, dt, z, gen, lam, count, push):
     return _advance(model, x, s, t1 - t_cur, z), s, pending
 
 
-def _simulate_diffusion(model, x0: StateVector, cfg: SimConfig, gen) -> Trajectory:
-    dim, nd = model.dim, model.noise_dim
-    dt = cfg.dt
-    n_steps = _step_count(cfg)
-    s, lam = _clock(model, x0, cfg)
-    thinning = lam > 0.0
-    x = x0.x.copy()
-
-    rec = _Recorder(dim, n_steps + 1, s is not None)
-    rec.push(0.0, x, s)
-    d0 = float(model.extinction_distance(x, s))
-    floor_active = d0 > cfg.floor_epsilon
-
-    def push_jump(t, xj, sj):
-        rec.push(t, xj, sj, jump=True)
-
-    z_buf = None
-    c_buf = None
-    pos = _CHUNK
-    cpos = _CHUNK
-
-    for k in range(n_steps):
-        t1 = (k + 1) * dt
-        z = None
-        if nd > 0:
-            if pos == _CHUNK:
-                z_buf = gen.standard_normal((_CHUNK, nd))
-                pos = 0
-            z = z_buf[pos]
-            pos += 1
-        pending = False
-        count = 0
-        if thinning:
-            if cpos == _CHUNK:
-                c_buf = gen.poisson(lam * dt, _CHUNK)
-                cpos = 0
-            count = c_buf[cpos]
-            cpos += 1
-        if count > 0:
-            x, s, pending = _jump_step(model, x, s, k, dt, z, gen, lam, count, push_jump)
-        else:
-            x = _advance(model, x, s, dt, z)
-        _check_finite(x, k, t1)
-        rec.push(t1, x, s, jump=pending)
-        if floor_active and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
-            break
-    return rec.trajectory()
-
-
 def simulate(model: ModelSpec, x0: StateVector, cfg: SimConfig, rng) -> Trajectory:
     """Run a model until t_final, or until the extinction floor is reached.
 
     Diffusions are recorded on the dt grid plus all regime jump times;
     discrete chains use one time unit per step (see ``poissonize`` for the
-    continuous-time embedding) and run as a block of one lane.  Equal (seed,
-    stream_id, model, dt, t_final) reproduce bit-identical trajectories.
-    ``NonFiniteState``, ``RateBoundViolated`` and a toolkit error raised by a
-    chain's ``step_map`` name the step and time, and the replica when ``rng``
-    is an ``RngStream``.
+    continuous-time embedding).  Every family runs as a block of one lane of
+    the ``simulate_lanes`` engine.  Equal (seed, stream_id, model, dt,
+    t_final) reproduce bit-identical trajectories.  ``NonFiniteState``,
+    ``RateBoundViolated`` and a toolkit error raised by a chain's
+    ``step_map`` name the step and time, and the replica when ``rng`` is an
+    ``RngStream``.
     """
     _check_dim(model, x0)
-    if model.family == "discrete_chain":
-        return next(_simulate_block(model, [(0, x0, rng)], cfg))
-    try:
-        return _simulate_diffusion(model, x0, cfg, as_generator(rng))
-    except (NonFiniteState, RateBoundViolated) as exc:
-        _name_replica(exc, rng)
-        raise
+    return next(_simulate_block(model, [(0, x0, rng)], cfg))
 
 
 def _check_dim(model, x0: StateVector):
     if x0.dim != model.dim:
-        raise ValueError(f"initial condition has dim {x0.dim}, model wants {model.dim}")
+        raise ValueError(f"state has dim {x0.dim}, model wants {model.dim}")
 
 
 def _name_replica(exc, rng):
@@ -323,24 +242,22 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     ``replica_streams`` returns), in order, each bit for bit the path
     ``simulate(model, ic, cfg, rng)`` gives, or ``reduce`` of that path.
 
-    Two or more replicas step in lockstep, in blocks of at most ``_LANES``
-    (n, dim) states, lowest replicas first.  Each replica draws from its own
-    generator in the order ``simulate`` does: a diffusion lane its chunks of
+    The replicas step in lockstep, in blocks of at most ``_LANES`` (n, dim)
+    states, lowest replicas first; ``simulate`` is a block of one lane.  Each
+    replica draws from its own generator: a diffusion lane its chunks of
     normals and regime clock counts, a chain lane its next chunk of
-    ``noise_sampler(gen, size)`` draws, never more than the steps left.  A
-    lane whose regime clock fires in a step takes that step alone by exact
-    thinning, and one that reaches the extinction floor stays frozen until
-    its block ends.  A single replica runs through ``simulate``.  ``reduce``
-    maps each path as it is cut from its block's record, so a caller that
-    keeps only a statistic of each path holds one block's record and one
-    path at a time.
+    ``noise_sampler(gen, size)`` draws, never more than the steps left, so a
+    lane's draws do not depend on the lanes beside it.  A lane whose regime
+    clock fires in a step takes that step alone by exact thinning, and one
+    that reaches the extinction floor stays frozen until its block ends.
+    ``reduce`` maps each path as it is cut from its block's record, so a
+    caller that keeps only a statistic of each path holds one block's record
+    and one path at a time.
     A failure is raised for the lowest replica that fails, after the paths
     of the replicas below it are reduced, as running the replicas one after
     another would.
     """
     keep = (lambda traj: traj) if reduce is None else reduce
-    if len(replicas) < 2:
-        return [keep(simulate(model, ic, cfg, rng)) for _, ic, rng in replicas]
     for _, ic, _ in replicas:
         _check_dim(model, ic)
     n = len(replicas)
@@ -373,6 +290,22 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         [0 if s is None else s for s in starts], dtype=np.int64)
     X = np.array([ic.x for _, ic, _ in replicas])
     floor_on = model.extinction_distance(X, S) > cfg.floor_epsilon
+    advance = _advance
+
+    def floor_hits(X, S):  # the mask of watched lanes at the floor, or None
+        hit = (model.extinction_distance(X, S) < cfg.floor_epsilon) & watch
+        return hit if hit.any() else None
+
+    if n == 1:
+        # a lone lane calls the model on its 1-d row, with the bits of its
+        # block row (a contract of every callback) at less cost per step
+        def advance(model, X, S, h, z):
+            return _advance(model, X[0], None if S is None else int(S[0]), h,
+                            None if z is None else z[0])[None]
+
+        def floor_hits(X, S):
+            d = float(model.extinction_distance(X[0], None if S is None else int(S[0])))
+            return watch.copy() if d < cfg.floor_epsilon else None
 
     alive = np.ones(n, dtype=bool)
     watch = floor_on.copy()  # alive lanes the floor can stop
@@ -390,7 +323,7 @@ def _simulate_block(model, replicas, cfg: SimConfig):
 
     for k in range(n_steps):
         r = k % _CHUNK
-        if r == 0:  # each live lane draws its chunks in the order simulate does
+        if r == 0:  # each live lane draws its next chunks from its own generator
             live = np.flatnonzero(alive).tolist()
             if chain:
                 xib = _chain_noise(model, gens, live, n, min(_CHUNK, n_steps - k))
@@ -409,7 +342,7 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             xn, bad = _chain_step(model, X, xib[r], alive, k, t1)
         else:
             z = zb[r] if nd > 0 else None
-            xn = _advance(model, X, S, dt, z)
+            xn = advance(model, X, S, dt, z)
             bad = []
         if thin and fired[r]:
             for i in np.flatnonzero(cb[r]).tolist():
@@ -428,7 +361,8 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                     folded[i].append(k + 1)
         if n_alive < n:
             np.copyto(xn, X, where=~alive[:, None])  # stopped lanes stay frozen
-        if not math.isfinite(float(xn.sum())):
+        # add.reduce skips ndarray.sum's Python wrapper, a fixed cost of every step
+        if not math.isfinite(np.add.reduce(xn, None)):
             for i in np.flatnonzero(~np.isfinite(xn.sum(axis=1))).tolist():
                 try:
                     _check_finite(xn[i], k, t1)
@@ -454,8 +388,8 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         if ss is not None:
             ss[-1][g % _CHUNK] = S
         if watching:
-            hit = (model.extinction_distance(X, S) < cfg.floor_epsilon) & watch
-            if hit.any():
+            hit = floor_hits(X, S)
+            if hit is not None:
                 for i in np.flatnonzero(hit).tolist():
                     last[i] = g
                 alive &= ~hit
@@ -549,8 +483,7 @@ def poissonize(chain: ModelSpec, x0: StateVector, rng, t_final: float) -> Trajec
         raise ValueError("poissonize requires a discrete chain")
     gen = as_generator(rng)
     x = x0.x.copy()
-    rec = _Recorder(chain.dim, int(t_final) + 8, False)
-    rec.push(0.0, x, None)
+    times, states, jumps = [0.0], [x], []
     t = 0.0
     while True:
         t += gen.exponential()
@@ -559,7 +492,10 @@ def poissonize(chain: ModelSpec, x0: StateVector, rng, t_final: float) -> Trajec
         xi = chain.noise_sampler(gen)
         x = chain.domain_projection(np.asarray(chain.step_map(x, xi), dtype=float), None)
         _check_finite(x)
-        rec.push(t, x, None, jump=True)
-    if rec.times[rec.n - 1] < t_final:
-        rec.push(t_final, x, None)
-    return rec.trajectory()
+        jumps.append(len(times))
+        times.append(t)
+        states.append(x)
+    if times[-1] < t_final:
+        times.append(t_final)
+        states.append(x)
+    return Trajectory(np.array(times), np.array(states), None, np.array(jumps, dtype=np.int64))

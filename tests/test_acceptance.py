@@ -247,18 +247,17 @@ def test_criterion_10_oracle_equivalence():
         np.fill_diagonal(q, -q.sum(axis=1))
         rho = ctmc_stationary(CtmcGenerator(q))
         model = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0,
-                          drift=lambda x, s: np.zeros(1),
+                          drift=lambda x, s: np.zeros_like(x),
                           switch_rates=lambda x, _q=q: _q, n_regimes=m,
                           extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
         cfg = SimConfig(dt=1e-2, t_final=400.0)
         reps = 10
-        occ = np.empty((reps, m))
-        for r in range(reps):
-            traj = simulate(model, StateVector(np.zeros(1), 0), cfg,
-                            RngStream(1000 + g, r))
-            for s in range(m):
-                occ[r, s] = occupation_average(
-                    traj, lambda x, ss, _s=s: (np.asarray(ss) == _s).astype(float))
+        # replica r draws from RngStream(1000 + g, r)
+        occ = np.array(simulate_lanes(
+            model, replica_streams([StateVector(np.zeros(1), 0)], reps, 1000 + g), cfg,
+            lambda traj: [occupation_average(
+                traj, lambda x, ss, _s=s: (np.asarray(ss) == _s).astype(float))
+                for s in range(m)]))
         se = occ.std(axis=0, ddof=1) / math.sqrt(reps)
         z = np.abs(occ.mean(axis=0) - rho) / np.maximum(se, 1e-12)
         ok_all = ok_all and bool(np.all(z <= 3.0))

@@ -6,7 +6,11 @@ import pytest
 
 from extinctd.errors import NonFiniteState, RateBoundViolated
 from extinctd.integrators import (
+    _CHUNK,
     SimConfig,
+    _advance,
+    _clock,
+    _jump_step,
     discrete_step,
     em_step,
     poissonize,
@@ -48,6 +52,17 @@ def jump_model(q):
     )
 
 
+def fast_switching_model():
+    """Two regimes switching at rates 30 and 40, so a step of 0.02 often
+    holds several jumps, with x decaying towards the floor at 0."""
+    q = np.array([[-30.0, 30.0], [40.0, -40.0]])
+    return ModelSpec(family="switching_diffusion", dim=1, noise_dim=1,
+                     drift=lambda x, s: -x * (1.0 + np.asarray(s, dtype=float)[..., None]),
+                     diffusion_diag=lambda x, s: 0.3 * x,
+                     switch_rates=lambda x: q, n_regimes=2,
+                     extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+
+
 REGIME0 = lambda x, s: (np.asarray(s) == 0).astype(float)
 
 
@@ -73,6 +88,21 @@ def test_em_step_nonfinite_raises():
                   extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     with pytest.raises(NonFiniteState):
         em_step(m, StateVector(np.array([1.0])), 0.1)
+
+
+def test_em_step_rejects_misshapen_noise_and_state():
+    # one normal used to be broadcast to both noise coordinates
+    m = ModelSpec(family="sde", dim=2, noise_dim=2,
+                  drift=lambda x, s: np.zeros_like(x),
+                  diffusion_diag=lambda x, s: 0.5 * x,
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    x = StateVector(np.array([1.0, 2.0]))
+    for noise in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0):
+        with pytest.raises(ValueError, match="noise has shape"):
+            em_step(m, x, 0.01, noise)
+    with pytest.raises(ValueError, match="state has dim 3, model wants 2"):
+        em_step(m, StateVector(np.ones(3)), 0.01, [1.0, 0.0])
+    assert np.array_equal(em_step(m, x, 0.01, [1.0, 0.0]).x, [1.05, 2.0])
 
 
 def test_simulate_nonfinite_names_the_step_and_time():
@@ -116,14 +146,55 @@ def _assert_same_paths(got, want):
         np.testing.assert_array_equal(a.jumps, b.jumps)
 
 
+def _diffusion_reference(model, ic, cfg, rng):
+    """The serial Euler-Maruyama loop that diffusions ran before ``simulate``
+    stepped a block of one lane: one state, chunks of normals and regime
+    clock counts drawn in turn, a split step for each nonzero count, and the
+    floor stop."""
+    gen = rng.generator()
+    dt, nd = cfg.dt, model.noise_dim
+    s, lam = _clock(model, ic, cfg)
+    x = ic.x.copy()
+    times, states, regimes, jumps = [0.0], [x], [s], []
+
+    def push(t, xj, sj, jump=True):
+        if jump:
+            jumps.append(len(times))
+        times.append(t)
+        states.append(xj)
+        regimes.append(sj)
+
+    floor_on = float(model.extinction_distance(x, s)) > cfg.floor_epsilon
+    for k in range(int(round(cfg.t_final / dt))):
+        if k % _CHUNK == 0:
+            zb = gen.standard_normal((_CHUNK, nd)) if nd > 0 else None
+            cb = gen.poisson(lam * dt, _CHUNK) if lam > 0.0 else None
+        z = None if zb is None else zb[k % _CHUNK]
+        if cb is not None and cb[k % _CHUNK] > 0:
+            x, s, pending = _jump_step(model, x, s, k, dt, z, gen, lam, cb[k % _CHUNK], push)
+        else:
+            x, pending = _advance(model, x, s, dt, z), False
+        push((k + 1) * dt, x, s, pending)
+        if floor_on and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
+            break
+    return Trajectory(np.array(times), np.array(states),
+                      None if s is None else np.array(regimes), np.array(jumps, dtype=np.int64))
+
+
+def _assert_simulate_and_lanes_follow_the_reference(model, replicas, cfg):
+    want = [_diffusion_reference(model, ic, cfg, rng) for _, ic, rng in replicas]
+    _assert_same_paths([simulate(model, ic, cfg, rng) for _, ic, rng in replicas], want)
+    _assert_same_paths(simulate_lanes(model, replicas, cfg), want)
+    return want
+
+
 def test_simulate_lanes_equals_simulate_across_floor_stops(sis_k2):
     ics = [StateVector(np.array(x)) for x in ([0.6, 0.25], [0.1, 0.05], [0.3, 0.3])]
     cfg = SimConfig(dt=1e-3, t_final=30.0, floor_epsilon=1e-3)
     replicas = replica_streams(ics, 2, 4)
-    want = [simulate(sis_k2.model, ic, cfg, rng) for _, ic, rng in replicas]
+    want = _assert_simulate_and_lanes_follow_the_reference(sis_k2.model, replicas, cfg)
     assert len({len(t.times) for t in want}) == len(want)  # every lane stops at its own step
     assert all(t.duration < cfg.t_final for t in want)
-    _assert_same_paths(simulate_lanes(sis_k2.model, replicas, cfg), want)
 
 
 def test_simulate_lanes_splices_inserted_and_folded_jumps(monkeypatch):
@@ -132,19 +203,53 @@ def test_simulate_lanes_splices_inserted_and_folded_jumps(monkeypatch):
     import extinctd.integrators as integrators
 
     monkeypatch.setattr(integrators, "_TIME_GUARD", 0.3)
-    q = np.array([[-30.0, 30.0], [40.0, -40.0]])
-    m = ModelSpec(family="switching_diffusion", dim=1, noise_dim=1,
-                  drift=lambda x, s: -x * (1.0 + np.asarray(s, dtype=float)[..., None]),
-                  diffusion_diag=lambda x, s: 0.3 * x,
-                  switch_rates=lambda x: q, n_regimes=2,
-                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+    m = fast_switching_model()
     cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0)
     replicas = replica_streams([StateVector(np.array([1.0]), 0),
                                 StateVector(np.array([0.5]), 1)], 2, 9)
-    want = [simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
+    want = _assert_simulate_and_lanes_follow_the_reference(m, replicas, cfg)
     on_grid = [np.isin(t.times[t.jumps], np.arange(201) * cfg.dt) for t in want]
     assert all(g.any() and not g.all() for g in on_grid)
-    _assert_same_paths(simulate_lanes(m, replicas, cfg), want)
+
+
+def test_simulate_follows_the_reference_on_every_registered_spec(monkeypatch):
+    # simulate is a block of one lane that calls the model on its 1-d row;
+    # it must give the serial loop's path on every shipped spec
+    import extinctd.integrators as integrators
+    from extinctd.process_core import make_bundle, registered_models
+    from test_models import REGISTERED_PARAMS
+
+    cfg = SimConfig(dt=0.01, t_final=2.0)
+    checked = 0
+    for name in registered_models():
+        bundle = make_bundle(name, REGISTERED_PARAMS[name])
+        x0 = bundle.default_ic
+        ics = (x0, bundle.boundary_ic, None if bundle.quad_map is None else
+               StateVector(bundle.quad_map.inverse(x0.x), x0.regime))
+        for spec, ic in zip((bundle.model, bundle.boundary, bundle.blowup), ics):
+            if spec is None:
+                continue
+            for _, ic, rng in replica_streams([ic], 2, 6):
+                if spec.family == "discrete_chain":
+                    chain_cfg = SimConfig(dt=1.0, t_final=200.0)
+                    want = _chain_reference(spec, ic, chain_cfg, rng)
+                    _assert_same_paths([simulate(spec, ic, chain_cfg, rng)], [want])
+                else:
+                    want = _diffusion_reference(spec, ic, cfg, rng)
+                    _assert_same_paths([simulate(spec, ic, cfg, rng)], [want])
+            checked += 1
+    assert checked == 13  # the 11 diffusion specs and eco-discrete's chain and boundary
+
+    # a switching path that inserts and folds jumps and stops at the floor
+    monkeypatch.setattr(integrators, "_TIME_GUARD", 0.3)
+    m = fast_switching_model()
+    cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0, floor_epsilon=0.05)
+    ic, rng = StateVector(np.array([1.0]), 0), RngStream(5, 1)
+    want = _diffusion_reference(m, ic, cfg, rng)
+    assert want.duration < cfg.t_final
+    on_grid = np.isin(want.times[want.jumps], np.arange(201) * cfg.dt)
+    assert on_grid.any() and not on_grid.all()
+    _assert_same_paths([simulate(m, ic, cfg, rng)], [want])
 
 
 def _serial_failure(model, replicas, cfg, exc_type):
@@ -297,9 +402,8 @@ def test_simulate_lanes_freezes_a_lane_at_the_floor():
                   extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
     cfg = SimConfig(dt=0.1, t_final=2.0, floor_epsilon=0.15)
     replicas = replica_streams([StateVector(np.array([x])) for x in (0.3, 10.0)], 1, 0)
-    want = [simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
+    want = _assert_simulate_and_lanes_follow_the_reference(m, replicas, cfg)
     assert len(want[0].times) == 3 and len(want[1].times) == 21
-    _assert_same_paths(simulate_lanes(m, replicas, cfg), want)
 
 
 def test_simulate_lanes_steps_blocks_in_replica_order(monkeypatch, sis_k2):
@@ -317,7 +421,7 @@ def test_simulate_lanes_steps_blocks_in_replica_order(monkeypatch, sis_k2):
     monkeypatch.setattr(integrators, "_LANES", 3)
     cfg = SimConfig(dt=1e-3, t_final=1.0)
     replicas = replica_streams([StateVector(np.array([0.6, 0.25]))], 7, 2)
-    want = [simulate(sis_k2.model, ic, cfg, rng) for _, ic, rng in replicas]
+    want = [_diffusion_reference(sis_k2.model, ic, cfg, rng) for _, ic, rng in replicas]
     _assert_same_paths(simulate_lanes(sis_k2.model, replicas, cfg), want)
     assert blocks == [[0, 1], [2, 3], [4, 5, 6]]
     final = simulate_lanes(sis_k2.model, replicas, cfg, lambda t: t.states[-1].tolist())
@@ -340,7 +444,8 @@ def test_simulate_lanes_steps_the_spheres_and_blowups_as_blocks(monkeypatch, sis
                      (linear.boundary, linear.boundary_ic),
                      (lorenz_noisy.blowup, StateVector(np.array([0.9, 0.3, 0.5])))):
         replicas = replica_streams([ic], 2, 5)
-        want = [simulate(spec, ic, cfg, rng) for _, ic, rng in replicas]
+        want = [_diffusion_reference(spec, ic, cfg, rng) for _, ic, rng in replicas]
+        _assert_same_paths([simulate(spec, ic, cfg, rng) for _, ic, rng in replicas], want)
         blocks.clear()
         _assert_same_paths(simulate_lanes(spec, replicas, cfg), want)
         assert blocks == [2], spec.name
@@ -355,7 +460,8 @@ def test_simulate_lanes_steps_the_lorenz_cylinder_as_lanes(monkeypatch, alpha0):
     cfg = SimConfig(dt=0.01, t_final=5.0)
     replicas = replica_streams([StateVector(np.array([0.9, 1.5])),
                                 StateVector(np.array([-2.0, 0.3]))], 2, 8)
-    want = [simulate(cyl, ic, cfg, rng) for _, ic, rng in replicas]
+    want = [_diffusion_reference(cyl, ic, cfg, rng) for _, ic, rng in replicas]
+    _assert_same_paths([simulate(cyl, ic, cfg, rng) for _, ic, rng in replicas], want)
     blocks = []
     step_block = integrators._simulate_block
     monkeypatch.setattr(integrators, "_simulate_block",
@@ -483,8 +589,9 @@ def test_weak_order_bias_halves():
     def mean_at_one(dt, seed):
         m = ou_model()
         cfg = SimConfig(dt=dt, t_final=1.0)
-        vals = [simulate(m, StateVector(np.array([x0])), cfg, RngStream(seed, r)
-                         ).states[-1, 0] for r in range(n)]
+        # replica r draws from RngStream(seed, r)
+        vals = simulate_lanes(m, replica_streams([StateVector(np.array([x0]))], n, seed), cfg,
+                              lambda traj: traj.states[-1, 0])
         return float(np.mean(vals))
 
     bias_a = abs(mean_at_one(0.2, 100) - exact)

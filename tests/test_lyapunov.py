@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extinctd.errors import EmptyWindow, NonFiniteObservable
-from extinctd.integrators import SimConfig, simulate
+from extinctd.integrators import SimConfig, simulate, simulate_lanes
 from extinctd.lyapunov import (
     LyapunovSuite,
     constant_suite,
@@ -18,7 +18,7 @@ from extinctd.lyapunov import (
     suite_diagnostics,
     tightness_check,
 )
-from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory
+from extinctd.process_core import ModelSpec, RngStream, StateVector, Trajectory, replica_streams
 
 X = lambda x, s: np.asarray(x)[..., 0]
 X2 = lambda x, s: np.asarray(x)[..., 0] ** 2
@@ -83,11 +83,10 @@ def test_qv_ou_variance():
     # OU with f = x: Gamma f = 2, so Var(M_1) ~ 2
     m = ou_model()
     cfg = SimConfig(dt=2e-3, t_final=1.0)
-    finals = []
-    for r in range(3000):
-        traj = simulate(m, StateVector(np.array([0.5])), cfg, RngStream(80, r))
-        finals.append(dynkin_residual(traj, X,
-                                      lambda x, s: -np.asarray(x)[..., 0])[-1])
+    # replica r draws from RngStream(80, r)
+    finals = simulate_lanes(m, replica_streams([StateVector(np.array([0.5]))], 3000, 80), cfg,
+                            lambda traj: dynkin_residual(traj, X,
+                                                         lambda x, s: -np.asarray(x)[..., 0])[-1])
     assert float(np.var(finals)) == pytest.approx(2.0, rel=0.1)
 
 
@@ -264,8 +263,8 @@ def test_nonfinite_observable_raises():
 def test_strong_law_ou_decreasing():
     m = ou_model()
     cfg = SimConfig(dt=1e-2, t_final=200.0)
-    trajs = [simulate(m, StateVector(np.array([0.5])), cfg, RngStream(90, r))
-             for r in range(30)]
+    # replica r draws from RngStream(90, r)
+    trajs = simulate_lanes(m, replica_streams([StateVector(np.array([0.5]))], 30, 90), cfg)
     rep = strong_law_check(trajs, X, lambda x, s: -np.asarray(x)[..., 0])
     assert rep.max_full < rep.max_half  # bounded QV rate: |M_T|/T decreases
 
