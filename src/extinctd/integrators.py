@@ -57,6 +57,9 @@ def _check_finite(x: np.ndarray, step: Optional[int] = None, t: Optional[float] 
 def _advance(model: ModelSpec, x, s, h, z):
     """One raw EM update over a step of length h with unit normals z, for one
     state x or, row by row, for a block of them."""
+    if model.coefficients is not None and z is not None:
+        f, g = model.coefficients(x, s)
+        return model.domain_projection(x + f * h + g * (math.sqrt(h) * z), s)
     xn = x + model.drift(x, s) * h
     if z is not None:
         sq = math.sqrt(h)
@@ -245,11 +248,13 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     The replicas step in lockstep, in blocks of at most ``_LANES`` (n, dim)
     states, lowest replicas first; ``simulate`` is a block of one lane.  Each
     replica draws from its own generator: a diffusion lane its chunks of
-    normals and regime clock counts, a chain lane its next chunk of
-    ``noise_sampler(gen, size)`` draws, never more than the steps left, so a
-    lane's draws do not depend on the lanes beside it.  A lane whose regime
-    clock fires in a step takes that step alone by exact thinning, and one
-    that reaches the extinction floor stays frozen until its block ends.
+    normals and regime clock counts, a chain lane its chunks of
+    ``noise_sampler(gen, size)`` draws.  A chunk covers ``_CHUNK`` steps or
+    the steps left, if fewer, but always ``_CHUNK`` in a block with a regime
+    clock; a lane steps with the same draws whatever lanes are beside it.
+    A lane whose regime clock fires in a step takes that step alone by exact
+    thinning, and one that reaches the extinction floor stays frozen until
+    its block ends.
     ``reduce`` maps each path as it is cut from its block's record, so a
     caller that keeps only a statistic of each path holds one block's record
     and one path at a time.
@@ -294,7 +299,7 @@ def _simulate_block(model, replicas, cfg: SimConfig):
 
     def floor_hits(X, S):  # the mask of watched lanes at the floor, or None
         hit = (model.extinction_distance(X, S) < cfg.floor_epsilon) & watch
-        return hit if hit.any() else None
+        return hit if np.count_nonzero(hit) else None  # skips ndarray.any's Python wrapper
 
     if n == 1:
         # a lone lane calls the model on its 1-d row, with the bits of its
@@ -315,9 +320,9 @@ def _simulate_block(model, replicas, cfg: SimConfig):
     inserted = [[] for _ in range(n)]  # (grid index it precedes, t, x, s)
     folded = [[] for _ in range(n)]  # grid indices carrying a folded jump
     failed = None  # (lane, exception) of the lowest lane that failed
-    xs = [np.empty((_CHUNK, n, dim))]
+    xs = [np.empty((min(_CHUNK, n_steps + 1), n, dim))]  # fewer rows if the run is shorter
     xs[0][0] = X
-    ss = None if S is None else [np.empty((_CHUNK, n), dtype=np.int64)]
+    ss = None if S is None else [np.empty((len(xs[0]), n), dtype=np.int64)]
     if ss is not None:
         ss[0][0] = S
 
@@ -325,17 +330,20 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         r = k % _CHUNK
         if r == 0:  # each live lane draws its next chunks from its own generator
             live = np.flatnonzero(alive).tolist()
+            # never more than the steps left, but whole chunks on a regime
+            # clock, whose counts follow a chunk of normals in each stream
+            size = _CHUNK if thin else min(_CHUNK, n_steps - k)
             if chain:
-                xib = _chain_noise(model, gens, live, n, min(_CHUNK, n_steps - k))
+                xib = _chain_noise(model, gens, live, n, size)
             if nd > 0:
-                zb = np.zeros((_CHUNK, n, nd))
+                zb = np.zeros((size, n, nd))
                 for i in live:
-                    zb[:, i] = gens[i].standard_normal((_CHUNK, nd))
+                    zb[:, i] = gens[i].standard_normal((size, nd))
             if thin:
-                cb = np.zeros((_CHUNK, n), dtype=np.int64)
+                cb = np.zeros((size, n), dtype=np.int64)
                 for i in thin:
                     if alive[i]:
-                        cb[:, i] = gens[i].poisson(lams[i] * dt, _CHUNK)
+                        cb[:, i] = gens[i].poisson(lams[i] * dt, size)
                 fired = cb.any(axis=1).tolist()
         t1 = (k + 1) * dt
         if chain:

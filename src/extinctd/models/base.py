@@ -114,11 +114,12 @@ def power_suite(model, V, H, gammaV, P, shape, calib_radius: float, nonneg: bool
         a = g1(q)
         return np.maximum(2.0 - (a * lq + 0.5 * g2(q) * gq) + a * a * gq, 1.0)
 
+    # float_power keeps libm's pow for each row of a block, as for one state
     def W(x, s=None):
-        return ubar(x) ** 0.25
+        return np.float_power(ubar(x), 0.25)
 
     def U(x, s=None):
-        return ubar(x) ** 0.5
+        return np.float_power(ubar(x), 0.5)
 
     def Uprime(x, s=None):
         return s_u * U(x, s) * phi(x, s)

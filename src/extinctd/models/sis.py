@@ -80,18 +80,19 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         b = np.matmul(adj[:, None], v[..., None])[k, np.arange(len(k)), :, 0]
         return b, beta[k][:, None], delta[k][:, None]
 
-    def drift(x, s=None):
+    def coefficients(x, s=None):
+        """Drift and noise diagonal at (x, s), from one A(s) x."""
         b, bet, dlt = _regime(x, s)
-        return bet * b * (1.0 - x) - dlt * x
-
-    def diffusion_diag(x, s=None):
-        return sigma(x, 0 if s is None else s) * _regime(x, s)[0] * (1.0 - x)
+        omx = 1.0 - x
+        return bet * b * omx - dlt * x, sigma(x, 0 if s is None else s) * b * omx
 
     switching = m > 1
     model = ModelSpec(
         family="switching_diffusion" if switching else "sde",
         dim=n_nodes, noise_dim=n_nodes,
-        drift=drift, diffusion_diag=diffusion_diag,
+        drift=lambda x, s=None: coefficients(x, s)[0],
+        diffusion_diag=lambda x, s=None: coefficients(x, s)[1],
+        coefficients=coefficients,
         switch_rates=(lambda x: q_mat) if switching else None,
         n_regimes=m,
         domain_projection=lambda x, s=None: np.minimum(1.0, np.maximum(0.0, x)),

@@ -188,6 +188,11 @@ class ModelSpec:
     one draw, or a block ``(n, dim)`` with ``(n, ...)`` draws, and returns
     the stacked per-row values bit for bit, as ``domain_projection`` and
     ``extinction_distance`` (with regime ``None``) do.
+    A diffusion with ``diffusion_diag`` may also set ``coefficients(x, s)``,
+    which returns ``(drift(x, s), diffusion_diag(x, s))`` bit for bit, on one
+    state or a block and for every regime form above; a noisy Euler-Maruyama
+    step then calls it once in place of the two callbacks, so a model can
+    share the work they have in common.
     ``noise_sampler(gen)`` returns one draw; ``noise_sampler(gen, size)``
     returns ``size`` draws stacked on a leading axis, equal to ``size``
     single draws and leaving ``gen`` in the same state, as a numpy
@@ -201,6 +206,7 @@ class ModelSpec:
     drift: Optional[Callable] = None
     diffusion: Optional[Callable] = None
     diffusion_diag: Optional[Callable] = None
+    coefficients: Optional[Callable] = None
     switch_rates: Optional[Callable] = None
     n_regimes: int = 1
     step_map: Optional[Callable] = None
@@ -222,6 +228,8 @@ class ModelSpec:
                 raise MissingField("noisy model requires diffusion or diffusion_diag")
             if self.diffusion_diag is not None and self.noise_dim != self.dim:
                 raise DimensionMismatch("diagonal noise requires noise_dim == dim")
+            if self.coefficients is not None and self.diffusion_diag is None:
+                raise MissingField("coefficients requires diffusion_diag")
         if self.family == "switching_diffusion":
             if self.switch_rates is None:
                 raise MissingField("switching_diffusion requires switch_rates")
@@ -232,8 +240,9 @@ class ModelSpec:
         if self.family == "discrete_chain":
             if self.step_map is None or self.noise_sampler is None:
                 raise MissingField("discrete_chain requires step_map and noise_sampler")
-            if self.drift is not None or self.diffusion is not None:
-                raise MissingField("drift/diffusion are diffusion-only fields")
+            if (self.drift is not None or self.diffusion is not None
+                    or self.coefficients is not None):
+                raise MissingField("drift/diffusion/coefficients are diffusion-only fields")
 
 
 def distance_to_extinction(model: ModelSpec, state: StateVector) -> float:

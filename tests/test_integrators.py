@@ -600,6 +600,22 @@ def test_weak_order_bias_halves():
     assert bias_b <= 0.5 * bias_a + 3.0 * math.sqrt(2.0) * se
 
 
+def test_short_runs_draw_whole_chunks_only_on_a_regime_clock():
+    # a run without a regime clock draws the normals of its 10 steps; a
+    # switching run draws a whole chunk, as its clock counts follow it
+    cfg = SimConfig(dt=0.1, t_final=1.0, max_rate_bound=1e-12)
+    gen, want = np.random.default_rng(3), np.random.default_rng(3)
+    simulate(ou_model(), StateVector(np.array([1.0])), cfg, gen)
+    want.standard_normal((10, 1))
+    assert gen.standard_normal() == want.standard_normal()
+
+    gen, want = np.random.default_rng(3), np.random.default_rng(3)
+    simulate(fast_switching_model(), StateVector(np.array([1.0]), 0), cfg, gen)
+    want.standard_normal((_CHUNK, 1))
+    want.poisson(1e-12 * cfg.dt, _CHUNK)
+    assert gen.standard_normal() == want.standard_normal()
+
+
 def test_jump_times_recorded_on_grid():
     m = jump_model([[-2.0, 2.0], [2.0, -2.0]])
     cfg = SimConfig(dt=0.05, t_final=50.0)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from extinctd.errors import InvalidAdjacency, NegativeParameter, NegativeRate, NonPositiveF
-from extinctd.integrators import SimConfig, simulate
+from extinctd.errors import (InvalidAdjacency, MissingField, NegativeParameter, NegativeRate,
+                             NonPositiveF)
+from extinctd.integrators import SimConfig, simulate, simulate_lanes
 from extinctd.lyapunov import generator_apply, qv_residual, dynkin_residual
-from extinctd.process_core import RngStream, StateVector
+from extinctd.process_core import ModelSpec, RngStream, StateVector, replica_streams
 from extinctd.models import (
     eco_drift_check,
     lorenz_cylinder,
@@ -592,6 +594,15 @@ def _assert_stacked_rows(model, lo, hi, row_models=None, edge=()):
             for i, m in enumerate(row_models)])
         block = np.broadcast_to(np.asarray(f(x, s), dtype=float), rows.shape)
         assert _bits(block.ravel()) == _bits(rows.ravel()), (model.name, name)
+    if model.coefficients is not None:
+        # the fused callback is (drift, diffusion_diag) bit for bit: on the
+        # block with its regimes and with each int regime, and on every row
+        forms = [(x, s)] + [(x, j) for j in range(model.n_regimes)] + [
+            (x[i], None if s is None else int(s[i])) for i in range(len(x))]
+        for u, r in forms:
+            f, g = model.coefficients(u, r)
+            assert _bits(f) == _bits(model.drift(u, r)), (model.name, "coefficients", r)
+            assert _bits(g) == _bits(model.diffusion_diag(u, r)), (model.name, "coefficients", r)
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
@@ -617,14 +628,47 @@ def test_every_registered_diffusion_spec_steps_blocks_bit_for_bit():
     from extinctd.process_core import make_bundle, registered_models
 
     assert sorted(REGISTERED_PARAMS) == registered_models()
-    checked = 0
+    checked = fused = 0
     for name in registered_models():
         bundle = make_bundle(name, REGISTERED_PARAMS[name])
         for spec in (bundle.model, bundle.boundary, bundle.blowup):
             if spec is not None and spec.family != "discrete_chain":
                 _assert_stacked_rows(spec, -0.5, 1.5, edge=np.zeros((1, spec.dim)))
                 checked += 1
+                fused += spec.coefficients is not None
     assert checked == 11  # sis, linear, lorenz 3 each; kolmogorov's boundary is its model
+    assert fused == 1  # the SIS model
+
+
+def test_model_spec_takes_coefficients_only_beside_diffusion_diag():
+    dist = lambda x, s=None: np.abs(x[..., 0])
+    both = lambda x, s=None: (-x, 0.1 * x)
+    ModelSpec(family="sde", dim=1, noise_dim=1, drift=lambda x, s=None: -x,
+              diffusion_diag=lambda x, s=None: 0.1 * x, coefficients=both,
+              extinction_distance=dist)
+    with pytest.raises(MissingField, match="diffusion_diag"):
+        ModelSpec(family="sde", dim=1, noise_dim=1, drift=lambda x, s=None: -x,
+                  diffusion=lambda x, s=None: 0.1 * x[..., None], coefficients=both,
+                  extinction_distance=dist)
+    for diag in (None, lambda x, s=None: 0.1 * x):
+        with pytest.raises(MissingField, match="coefficients"):
+            ModelSpec(family="discrete_chain", dim=1, step_map=lambda x, xi: x * xi,
+                      noise_sampler=lambda gen, size=None: gen.uniform(size=size),
+                      diffusion_diag=diag, coefficients=both, extinction_distance=dist)
+
+
+def test_sis_steps_its_paths_bit_for_bit_with_or_without_the_fused_callback():
+    bundle = make_sis([FULL5, RING5], beta=[0.2, 0.5], delta=[1.2, 0.8], Q=Q2)
+    split = dataclasses.replace(bundle.model, coefficients=None)
+    cfg = SimConfig(dt=0.01, t_final=3.0)
+    reps = replica_streams([bundle.default_ic], 3, 11)
+    paths = [simulate_lanes(m, reps, cfg) + [simulate(m, bundle.default_ic, cfg, RngStream(4))]
+             for m in (bundle.model, split)]
+    assert sum(len(p.jumps) for p in paths[0]) > 0  # the jump steps are exercised
+    for fused, plain in zip(*paths):
+        assert _bits(fused.times) == _bits(plain.times)
+        assert _bits(fused.states.ravel()) == _bits(plain.states.ravel())
+        assert fused.regimes.tolist() == plain.regimes.tolist()
 
 
 def test_lorenz_blowup_projection_folds_the_angle_as_math_remainder():

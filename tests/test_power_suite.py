@@ -154,3 +154,17 @@ def test_drift_and_diffusion_are_batch_first(case):
         assert rows.shape == (40, dim, model.noise_dim)
         batch = np.broadcast_to(model.diffusion(x, None), rows.shape)
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("case", ["kolmogorov-noisy", "linear-noisy", "lorenz-noisy"])
+def test_w_and_u_give_a_block_the_bits_of_its_rows(case):
+    # an array's ** 0.25 and ** 0.5 round some values other than one state's
+    # power does (about 5% and 0.1% of them), so a block needs many rows
+    bundle, _, dim, nonneg = CASES[case]()
+    x = np.random.default_rng(1).uniform(-3.0, 3.0, size=(20000, dim))
+    if nonneg:
+        x = np.abs(x)
+    for name in ("W", "U"):
+        f = getattr(bundle.suite, name)
+        rows = np.array([f(row) for row in x])
+        assert np.array_equal(f(x).view(np.uint64), rows.view(np.uint64)), name
