@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import invasion_rate, lorenz_lambda, lorenz_lambda0, weighted_invasion_criterion
+from .criteria import invasion_rate, weighted_invasion_criterion
 from .errors import (ExtinctdError, MissingField, NonFiniteParameter, ParseError, UnknownKey,
                      UnknownModel)
 from .exponents import _estimate, boundary_exponent, robustness_scan, trajectory_slope
@@ -48,7 +48,7 @@ _TOP_KEYS = {"model", "experiment", "sim", "replicas", "seed", "ics",
              "output", "options"}
 _MODEL_KEYS = {"name", "params"}
 _SIM_KEYS = {"dt", "t_final", "max_rate_bound", "floor_epsilon"}
-_OPTION_KEYS = {"window", "burn_in", "tol", "scan_parameter", "scan_values",
+_OPTION_KEYS = {"window", "burn_in", "scan_parameter", "scan_values",
                 "gap_tol", "tail_fraction", "slack", "diag_radius", "diag_points"}
 
 
@@ -299,14 +299,6 @@ def _run_criterion(cfg, bundle):
     sim = cfg.sim_config()
     ics = cfg.state_vectors(bundle.boundary_ic)
     burn = cfg.options.get("burn_in")
-    if bundle.name == "lorenz":
-        est = lorenz_lambda(boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
-                                              cfg.replicas, seed=cfg.seed, burn_in=burn))
-        report = {"lambda": est.to_dict(), "index": -est.point,
-                  "extinct": bool(est.ci_high < 0.0)}
-        if bundle.params["alpha0"] == 0.0:
-            report["lambda0_closed_form"] = lorenz_lambda0(bundle.params["z_star"])
-        return report, {}
     if bundle.species_H is not None:
         rates = [invasion_rate(bundle.boundary, i, bundle.species_H(i), ics,
                                sim, cfg.replicas, seed=cfg.seed, burn_in=burn)
@@ -314,7 +306,7 @@ def _run_criterion(cfg, bundle):
         value, extinct = weighted_invasion_criterion(np.ones(len(rates)), rates)
         return {"index": -value, "extinct": extinct,
                 "invasion_rates": [r.to_dict() for r in rates]}, {}
-    # sis / linear carry a closed-form candidate in the suite
+    # a closed-form candidate in the suite, else the boundary's H average
     index = bundle.suite.alpha_candidate
     if index is None:
         est = boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,

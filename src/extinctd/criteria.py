@@ -162,13 +162,6 @@ def lorenz_lambda0(z_star: float) -> float:
     return -1.0
 
 
-def lorenz_lambda(h_average):
-    """Cylinder lambda from an estimate of the H occupation average on the
-    Lorenz cylinder: lambda = -average, with the CI flipped to match."""
-    return replace(h_average, point=-h_average.point,
-                   ci_low=-h_average.ci_high, ci_high=-h_average.ci_low)
-
-
 def lorenz_lambda_mc(gamma: float, z_star: float, eta: float, alpha0: float,
                      cfg, reps: int, seed: int = 0,
                      burn_in: Optional[float] = None):
@@ -176,15 +169,16 @@ def lorenz_lambda_mc(gamma: float, z_star: float, eta: float, alpha0: float,
 
     Simulates the boundary (theta, z) of ``make_lorenz`` with R frozen at
     zero from its ``boundary_ic`` and returns minus the occupation average
-    of 1 - (z/2) sin(2 theta) as an ExponentEstimate; a negative value
-    certifies extinction (convergence to the z-axis).
+    of 1 - (z/2) sin(2 theta) as an ExponentEstimate, its CI flipped to
+    match; a negative value certifies extinction (convergence to the z-axis).
     """
     from .exponents import boundary_exponent
     from .models.lorenz import make_lorenz
 
     b = make_lorenz(gamma, z_star, eta, alpha0)
-    return lorenz_lambda(boundary_exponent(b.boundary, b.boundary_H, [b.boundary_ic],
-                                           cfg, reps, seed=seed, burn_in=burn_in))
+    avg = boundary_exponent(b.boundary, b.boundary_H, [b.boundary_ic],
+                            cfg, reps, seed=seed, burn_in=burn_in)
+    return replace(avg, point=-avg.point, ci_low=-avg.ci_high, ci_high=-avg.ci_low)
 
 
 def invasion_rate(boundary_model, species_index: int, H_i: Callable, ics,
@@ -195,11 +189,11 @@ def invasion_rate(boundary_model, species_index: int, H_i: Callable, ics,
     For discrete chains this is the step average of E[log F_i]; positive
     r_i means species i can invade the boundary community.
     """
-    from .exponents import _estimate
+    from .exponents import _burn, _estimate
     from .integrators import simulate_lanes
     from .lyapunov import occupation_average
 
-    burn = cfg.t_final * 0.1 if burn_in is None else burn_in
+    burn = _burn(cfg, burn_in)
     neg_h = lambda x, s=None: -np.asarray(H_i(x, s), dtype=float)
     vals = simulate_lanes(boundary_model, replica_streams(ics, reps, seed), cfg,
                           lambda path: occupation_average(path, neg_h, burn))

@@ -15,7 +15,7 @@ import numpy as np
 from .criteria import eigenvalues
 from .errors import WindowTooShort
 # simulate is not called here; perfbench's tracer test finds it under this name
-from .integrators import _LANES, SimConfig, simulate, simulate_lanes  # noqa: F401
+from .integrators import SimConfig, _lane_blocks, simulate, simulate_lanes  # noqa: F401
 from .lyapunov import LyapunovSuite, eval_along, occupation_average
 from .process_core import ModelSpec, StateVector, Trajectory, replica_streams
 
@@ -209,10 +209,10 @@ def robustness_scan(model_family: Callable, grid: Sequence, ics, cfg: SimConfig,
     from stream k at every value (common random numbers).  ``lanes``, a
     bundle's ``boundary_lanes`` bound to the scanned parameter, maps an (n,)
     array of per-lane values to one batch-first boundary spec whose row i
-    steps as ``model_family(values[i])``'s model does.  With it and two or
-    more values, the runs of all values step as lanes of one block, value by
-    value, each reduced with its own value's H; without it the values run
-    one after another.  Both give the same estimates bit for bit.
+    steps as ``model_family(values[i])``'s model does.  With it, the runs of
+    all values step as lanes of one block, value by value, each reduced with
+    its own value's H; without it the values run one after another.  Both
+    give the same estimates bit for bit.
     """
     grid = list(grid)
     if not grid:
@@ -220,7 +220,7 @@ def robustness_scan(model_family: Callable, grid: Sequence, ics, cfg: SimConfig,
     family = [model_family(theta) for theta in grid]
     if any(model.dim != family[0][0].dim for model, _ in family):
         raise ValueError("all scanned models must share state dimension")
-    if lanes is None or len(grid) < 2:
+    if lanes is None:
         ests = [boundary_exponent(model, H, ics, cfg, reps, seed=seed, burn_in=burn_in)
                 for model, H in family]
     else:
@@ -247,11 +247,8 @@ def _scan_lanes(lanes, grid, family, ics, cfg, reps, seed, burn) -> list:
     replicas = [rep for run in runs for rep in run]
     thetas = np.asarray([theta for theta, run in zip(grid, runs) for _ in run])
     Hs = [H for (_, H), run in zip(family, runs) for _ in run]
-    n = len(replicas)
-    blocks = -(-n // _LANES)  # the block split of simulate_lanes, so each spec fits its block
     vals = []
-    for b in range(blocks):
-        lo, hi = b * n // blocks, (b + 1) * n // blocks
+    for lo, hi in _lane_blocks(len(replicas)):  # so each spec fits its block
         hs = iter(Hs[lo:hi])  # simulate_lanes reduces the paths in lane order
         vals += simulate_lanes(lanes(thetas[lo:hi]), replicas[lo:hi], cfg,
                                lambda path: occupation_average(path, next(hs), burn))

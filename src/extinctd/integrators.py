@@ -265,13 +265,18 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     keep = (lambda traj: traj) if reduce is None else reduce
     for _, ic, _ in replicas:
         _check_dim(model, ic)
-    n = len(replicas)
-    blocks = -(-n // _LANES)  # of near-equal size, so none is left with a few lanes
     out = []
-    for b in range(blocks):
-        out += map(keep, _simulate_block(model, replicas[b * n // blocks:(b + 1) * n // blocks],
-                                         cfg))
+    for lo, hi in _lane_blocks(len(replicas)):
+        out += map(keep, _simulate_block(model, replicas[lo:hi], cfg))
     return out
+
+
+def _lane_blocks(n: int) -> list:
+    """The (lo, hi) replica bounds of ``simulate_lanes``' blocks for n
+    replicas: at most ``_LANES`` each, of near-equal size, so none is left
+    with a few lanes."""
+    blocks = -(-n // _LANES)
+    return [(b * n // blocks, (b + 1) * n // blocks) for b in range(blocks)]
 
 
 def _simulate_block(model, replicas, cfg: SimConfig):

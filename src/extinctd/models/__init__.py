@@ -25,21 +25,11 @@ def _build_sis(adjacency, beta, delta, Q=None, sigma_scale=0.2):
     return make_sis(adjacency, beta, delta, Q=Q, sigma_scale=sigma_scale)
 
 
-@register_model("lorenz")
-def _build_lorenz(gamma=1.0, z_star=0.5, eta=1.0, alpha0=0.0):
-    return make_lorenz(gamma, z_star, eta, alpha0)
-
-
-@register_model("linear")
-def _build_linear(A, Sigma=None):
-    return make_linear_sde(A, Sigma)
+register_model("lorenz")(make_lorenz)
+register_model("linear")(make_linear_sde)
+register_model("kolmogorov")(make_logistic)
 
 
 @register_model("eco-discrete")
 def _build_eco(r, sigma, inner_mc=10_000):
     return make_ricker(r, sigma, inner_mc=inner_mc)
-
-
-@register_model("kolmogorov")
-def _build_kolmogorov(r, sigma):
-    return make_logistic(r, sigma)

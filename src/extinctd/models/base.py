@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ class QuadrupleMap:
 
     forward: Callable
     inverse: Optional[Callable] = None
-    boundary_preimage: str = ""
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class ModelBundle:
     default_ic: Optional[StateVector] = None
     boundary_ic: Optional[StateVector] = None
     species_H: Optional[Callable] = None  # i -> H_i, for per-species invasion rates
-    params: dict = field(default_factory=dict)
 
 
 def calibrate_suite_constant(model, suite: LyapunovSuite, calib_points,
@@ -275,8 +273,6 @@ def polar_blowup(model: ModelSpec, phi: Callable, psi: Callable,
     quad = QuadrupleMap(
         forward=lambda u: np.asarray(u)[..., :n] * np.asarray(u)[..., n:],
         inverse=lambda x: np.concatenate(polar(x), axis=-1),
-        boundary_preimage=("nonnegative " if nonneg else "") + "unit sphere x {r = 0}"
-                          + (" x regimes" if model.n_regimes > 1 else ""),
     )
     return PolarFamily(V, H, gammaV, blowup, boundary, boundary_H, quad)
 

@@ -142,8 +142,7 @@ def make_ecological_discrete(n_species: int, F, noise_sampler,
     return ModelBundle(name="eco-discrete", model=model, suite=suite,
                        boundary=model, boundary_H=H, species_H=species_H,
                        default_ic=StateVector(np.full(n_species, 0.5)),
-                       boundary_ic=StateVector(np.zeros(n_species)),
-                       params={})
+                       boundary_ic=StateVector(np.zeros(n_species)))
 
 
 def eco_drift_check(model: ModelSpec, Upsilon, rho_bar: float, c_bar: float,
@@ -169,9 +168,7 @@ def make_ricker(r: float, sigma: float, inner_mc: int = 10_000,
     def log_F_batch(x, xi_bank):
         return (r - x[None, :]) + sigma * np.asarray(xi_bank)[:, None]
 
-    bundle = make_ecological_discrete(
+    return make_ecological_discrete(
         1, F, lambda gen, size=None: gen.standard_normal(size),
         inner_mc=inner_mc, h_seed=h_seed, log_F_batch=log_F_batch,
         alpha_candidate=-r if r < 0 else None)
-    bundle.params.update({"r": r, "sigma": sigma})
-    return bundle

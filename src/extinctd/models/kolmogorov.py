@@ -74,8 +74,7 @@ def make_kolmogorov(n_species: int, f, g, noise_matrix,
     return ModelBundle(name="kolmogorov", model=model, suite=suite,
                        boundary=model, boundary_H=H, species_H=species_H,
                        default_ic=StateVector(np.full(n_species, 0.5)),
-                       boundary_ic=StateVector(np.zeros(n_species)),
-                       params={})
+                       boundary_ic=StateVector(np.zeros(n_species)))
 
 
 def make_logistic(r: float, sigma: float) -> ModelBundle:
@@ -92,6 +91,4 @@ def make_logistic(r: float, sigma: float) -> ModelBundle:
         x = np.asarray(x, dtype=float)
         return np.full_like(x, sigma)
 
-    bundle = make_kolmogorov(1, f, g, np.array([[1.0]]))
-    bundle.params.update({"r": r, "sigma": sigma})
-    return bundle
+    return make_kolmogorov(1, f, g, np.array([[1.0]]))

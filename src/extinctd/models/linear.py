@@ -61,5 +61,4 @@ def make_linear_sde(A, Sigma=None) -> ModelBundle:
                        boundary=polar.boundary, boundary_H=polar.boundary_H,
                        blowup=polar.blowup, quad_map=polar.quad_map,
                        default_ic=StateVector(ic),
-                       boundary_ic=StateVector(ic),
-                       params={"A": A.tolist(), "Sigma": Sigma.tolist()})
+                       boundary_ic=StateVector(ic))

@@ -66,8 +66,8 @@ def lorenz_cylinder(gamma, z_star, alpha0):
     return boundary, boundary_H
 
 
-def make_lorenz(gamma: float, z_star: float, eta: float,
-                alpha0: float) -> ModelBundle:
+def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
+                alpha0: float = 0.0) -> ModelBundle:
     """Lorenz bundle: 3-d SDE, exp-quadratic suite, cylinder companions."""
     if min(gamma, eta) <= 0:
         raise NegativeParameter("gamma and eta must be positive")
@@ -113,15 +113,19 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
                                                  lambda q: eps * eps),
                         5.0, alpha_candidate=alpha_cand)
 
-    # full blow-up (theta, R, z)
+    boundary, boundary_H = lorenz_cylinder(gamma, z_star, alpha0)
+
+    # full blow-up (theta, R, z) on its cylinder (theta, z): dR = -R H dt, and
+    # the z rate adds the R^2 term of -x(x + eta y)
     def bl_drift(u, s=None):
-        th, r, z = u.T
+        th, r, _ = u.T
+        cyl = u[..., ::2]
+        d_th, d_z = boundary.drift(cyl).T
         st = np.sin(th)
-        ct = np.cos(th)
         return np.array([
-            1.0 - z * st * st,
-            r * (-1.0 + 0.5 * z * np.sin(2.0 * th)),
-            -(gamma * (z - z_star) + r * r * st * (st + eta * (ct - st))),
+            d_th,
+            r * -boundary_H(cyl),
+            d_z - r * r * st * (st + eta * (np.cos(th) - st)),
         ]).T
 
     def bl_project(u, s=None):
@@ -136,8 +140,6 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
         extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., 1]),
         name="lorenz-blowup",
     )
-
-    boundary, boundary_H = lorenz_cylinder(gamma, z_star, alpha0)
 
     def boundary_lanes(param, values):
         cyl = {"gamma": gamma, "z_star": z_star, "alpha0": alpha0}
@@ -156,16 +158,13 @@ def make_lorenz(gamma: float, z_star: float, eta: float,
         return np.stack([np.arctan2(x, x + y),
                          np.sqrt(x ** 2 + (x + y) ** 2), z], axis=-1)
 
-    quad = QuadrupleMap(forward=forward, inverse=inverse,
-                        boundary_preimage="cylinder S^1 x {R = 0} x R_z")
+    quad = QuadrupleMap(forward=forward, inverse=inverse)
 
     return ModelBundle(name="lorenz", model=model, suite=suite,
                        boundary=boundary, boundary_H=boundary_H,
                        boundary_lanes=boundary_lanes, blowup=blowup, quad_map=quad,
                        default_ic=StateVector(np.array([0.8, 0.4, z_star])),
-                       boundary_ic=StateVector(np.array([0.9, z_star])),
-                       params={"gamma": gamma, "z_star": z_star,
-                               "eta": eta, "alpha0": alpha0})
+                       boundary_ic=StateVector(np.array([0.9, z_star])))
 
 
 def lorenz_params_from_classic(sigma: float, rho: float, beta: float,

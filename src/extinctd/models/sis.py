@@ -130,7 +130,4 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     return ModelBundle(name="sis", model=model, suite=suite,
                        boundary=polar.boundary, boundary_H=polar.boundary_H,
                        blowup=polar.blowup, quad_map=polar.quad_map, default_ic=ic,
-                       boundary_ic=b_ic,
-                       params={"adjacency": adj.tolist(), "beta": beta.tolist(),
-                               "delta": delta.tolist(), "Q": q_mat.tolist(),
-                               "sigma_scale": sigma_scale})
+                       boundary_ic=b_ic)

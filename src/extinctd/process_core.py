@@ -241,8 +241,9 @@ class ModelSpec:
             if self.step_map is None or self.noise_sampler is None:
                 raise MissingField("discrete_chain requires step_map and noise_sampler")
             if (self.drift is not None or self.diffusion is not None
-                    or self.coefficients is not None):
-                raise MissingField("drift/diffusion/coefficients are diffusion-only fields")
+                    or self.diffusion_diag is not None or self.coefficients is not None):
+                raise MissingField("drift/diffusion/diffusion_diag/coefficients are "
+                                   "diffusion-only fields")
 
 
 def distance_to_extinction(model: ModelSpec, state: StateVector) -> float:

@@ -54,6 +54,13 @@ def test_parse_rejects_misspelled_key(tmp_path):
         config_from_dict(raw)
 
 
+def test_parse_rejects_the_unread_tol_option(tmp_path):
+    raw = sis_config(tmp_path / "out")
+    raw["options"] = {"tol": 0.05}  # no runner reads a tolerance
+    with pytest.raises(UnknownKey, match="tol"):
+        config_from_dict(raw)
+
+
 def test_parse_requires_seed(tmp_path):
     raw = sis_config(tmp_path / "out")
     del raw["seed"]
@@ -450,9 +457,10 @@ def test_criterion_experiment_other_families(tmp_path):
         "options": {"burn_in": 50.0},
     }
     rep = run_experiment(config_from_dict(raw))
+    # at alpha0 = 0 the suite's closed form -lambda0(z*) = 1 is the index
     assert rep["extinct"] is True
-    assert rep["lambda"]["point"] == pytest.approx(-1.0, abs=0.03)
-    assert rep["lambda0_closed_form"] == -1.0
+    assert rep["index"] == 1.0
+    assert "estimate" not in rep
 
 
 def test_lorenz_criterion_runs_from_the_configured_ics(tmp_path):
@@ -472,10 +480,9 @@ def test_lorenz_criterion_runs_from_the_configured_ics(tmp_path):
     b = make_bundle("lorenz", raw["model"]["params"])
     est = boundary_exponent(b.boundary, b.boundary_H, [StateVector(np.array(ic))],
                             cfg.sim_config(), 2, seed=5, burn_in=2.0)
-    assert rep["lambda"]["point"] == -est.point
-    assert rep["lambda"]["ci_low"] == -est.ci_high
+    assert rep["estimate"] == est.to_dict()
     assert rep["index"] == est.point
-    assert "lambda0_closed_form" not in rep
+    assert rep["extinct"] is bool(est.ci_low > 0.0)
 
 
 def test_shipped_configs_parse_and_validate():

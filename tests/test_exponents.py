@@ -249,6 +249,9 @@ LANE_SCANS = {
                         [(0.9, 0.5), (2.0, 1.0)], 3, 2.0, False),
     # each lane must be reduced with its own value's H
     "alpha0-own-H": ("alpha0", [0.0, 0.05, 0.1], {}, [(0.9, 0.5), (2.0, 1.0)], 2, 10.0, True),
+    # one value steps as lanes too
+    "alpha0-one-value": ("alpha0", [0.1], {}, [(0.9, 0.5), (2.0, 1.0)], 2, 10.0, False),
+    "alpha0-one-value-0": ("alpha0", [0.0], {}, [(0.9, 0.5), (2.0, 1.0)], 2, 10.0, False),
 }
 
 

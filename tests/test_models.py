@@ -655,6 +655,10 @@ def test_model_spec_takes_coefficients_only_beside_diffusion_diag():
             ModelSpec(family="discrete_chain", dim=1, step_map=lambda x, xi: x * xi,
                       noise_sampler=lambda gen, size=None: gen.uniform(size=size),
                       diffusion_diag=diag, coefficients=both, extinction_distance=dist)
+    with pytest.raises(MissingField, match="diffusion_diag"):
+        ModelSpec(family="discrete_chain", dim=1, step_map=lambda x, xi: x * xi,
+                  noise_sampler=lambda gen, size=None: gen.uniform(size=size),
+                  diffusion_diag=lambda x, s=None: 0.1 * x, extinction_distance=dist)
 
 
 def test_sis_steps_its_paths_bit_for_bit_with_or_without_the_fused_callback():
