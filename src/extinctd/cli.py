@@ -35,7 +35,8 @@ import numpy as np
 from .criteria import invasion_rate, weighted_invasion_criterion
 from .errors import (ExtinctdError, MissingField, NonFiniteParameter, ParseError, UnknownKey,
                      UnknownModel)
-from .exponents import _estimate, boundary_exponent, robustness_scan, trajectory_slope
+from .exponents import (_distinct_replicas, _estimate, boundary_exponent, robustness_scan,
+                        trajectory_slope)
 from .integrators import SimConfig, simulate, simulate_lanes
 from .lyapunov import (dynkin_residual, qv_residual, strong_law_check, suite_diagnostics,
                        tightness_check)
@@ -273,24 +274,25 @@ def _run_boundary_exponent(cfg, bundle):
 
 def _run_slope(cfg, bundle):
     sim = cfg.sim_config()
-    replicas = replica_streams(cfg.state_vectors(bundle.default_ic), cfg.replicas, cfg.seed)
+    ics = cfg.state_vectors(bundle.default_ic)
+    runs = _distinct_replicas(bundle.model, ics, cfg.replicas, cfg.seed)
     window = float(cfg.options.get("window", 0.5))
 
     def one(j):
-        rid, ic, rng = replicas[j]
-        traj = simulate(bundle.model, ic, sim, rng)
-        return rid, trajectory_slope(traj, bundle.suite.V, window).point
+        _, ic, rng = runs[j]
+        return trajectory_slope(simulate(bundle.model, ic, sim, rng), bundle.suite.V, window).point
 
-    results = _map_indexed(one, len(replicas), 1)
-    est = _estimate([s for _, s in results], sim.t_final, "trajectory_slope")
+    # row k is replica k; a noise-free path stands for each of its ic's replicas
+    slopes = np.repeat(_map_indexed(one, len(runs), 1), len(ics) * cfg.replicas // len(runs))
+    est = _estimate(slopes, sim.t_final, "trajectory_slope")
     report = {
         "slope": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
         "n_replicas": est.n_replicas,
         "alpha_candidate": bundle.suite.alpha_candidate,
     }
     # one replica's estimate is its slope, with a zero-width CI
-    labelled = [(f"replica_{rid}", _estimate([s], sim.t_final, "trajectory_slope"))
-                for rid, s in results]
+    labelled = [(f"replica_{k}", _estimate([s], sim.t_final, "trajectory_slope"))
+                for k, s in enumerate(slopes)]
     files = {"exponents.csv": _exponents_csv(labelled + [("mean", est)])}
     return report, files
 
@@ -311,7 +313,7 @@ def _run_criterion(cfg, bundle):
     if index is None:
         est = boundary_exponent(bundle.boundary, bundle.boundary_H, ics, sim,
                                 cfg.replicas, seed=cfg.seed, burn_in=burn)
-        return {"index": est.point, "extinct": bool(est.ci_low > 0.0),
+        return {"index": est.point, "extinct": est.ci_low > 0.0,
                 "estimate": est.to_dict()}, {}
     return {"index": float(index), "extinct": bool(index > 0.0)}, {}
 

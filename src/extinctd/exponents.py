@@ -7,6 +7,7 @@ process converges to the extinction set (slope of V = -log d against t).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -68,7 +69,7 @@ def _estimate(values, horizon, method) -> ExponentEstimate:
     values = np.asarray(values, dtype=float)
     point = float(values.mean())
     if values.size > 1:
-        half = t975(values.size - 1) * float(values.std(ddof=1)) / np.sqrt(values.size)
+        half = t975(values.size - 1) * float(values.std(ddof=1)) / math.sqrt(values.size)
     else:
         half = 0.0
     return ExponentEstimate(point=point, ci_low=point - half, ci_high=point + half,
@@ -76,12 +77,12 @@ def _estimate(values, horizon, method) -> ExponentEstimate:
                             method=method)
 
 
-def _boundary_replicas(model: ModelSpec, ics, reps: int, seed: int) -> list:
-    """The replicas a boundary estimate runs: every (ic, replica) of the
-    replica rule, or the first replica of each ic when the model is
-    noise-free and single-regime, as all its replicas follow that path."""
+def _distinct_replicas(model: ModelSpec, ics, reps: int, seed: int) -> list:
+    """The replicas an estimate runs: every (ic, replica) of the replica
+    rule, or the first replica of each ic when the model is noise-free and
+    single-regime, as all its replicas follow that path."""
     if not ics:
-        raise ValueError("need at least one boundary initial condition")
+        raise ValueError("need at least one initial condition")
     replicas = replica_streams(ics, reps, seed)
     if model.family == "sde" and model.noise_dim == 0:
         replicas = replicas[::reps]
@@ -90,7 +91,7 @@ def _boundary_replicas(model: ModelSpec, ics, reps: int, seed: int) -> list:
 
 def _boundary_estimate(vals, n_ics: int, reps: int, horizon: float) -> ExponentEstimate:
     """Minimum over ics of the replica means of the occupation averages
-    ``vals`` of ``_boundary_replicas``' runs, with the CI at the argmin; a
+    ``vals`` of ``_distinct_replicas``' runs, with the CI at the argmin; a
     noise-free path stands for each of its ic's replicas."""
     per_ic = np.broadcast_to(np.reshape(vals, (n_ics, -1)), (n_ics, reps))
     means = [v.mean() for v in per_ic]
@@ -115,7 +116,7 @@ def boundary_exponent(boundary_model: ModelSpec, H: Callable,
     value stands for each of its replicas.
     """
     burn = _burn(cfg, burn_in)
-    replicas = _boundary_replicas(boundary_model, ics, reps, seed)
+    replicas = _distinct_replicas(boundary_model, ics, reps, seed)
     vals = simulate_lanes(boundary_model, replicas, cfg,
                           lambda path: occupation_average(path, H, burn))
     return _boundary_estimate(vals, len(ics), reps, cfg.t_final)
@@ -148,10 +149,11 @@ def trajectory_slope(traj: Trajectory, V: Callable,
 def slope_experiment(model: ModelSpec, V: Callable, x0: StateVector,
                      cfg: SimConfig, reps: int, seed: int = 0,
                      window: float = 0.5) -> ExponentEstimate:
-    """Replica-averaged trajectory slope with CI from the replica spread."""
-    slopes = simulate_lanes(model, replica_streams([x0], reps, seed), cfg,
-                            lambda traj: trajectory_slope(traj, V, window).point)
-    return _estimate(slopes, cfg.t_final, "trajectory_slope")
+    """Replica-averaged trajectory slope with CI from the replica spread; a
+    noise-free, single-regime model runs once for all its replicas."""
+    runs = _distinct_replicas(model, [x0], reps, seed)
+    slopes = simulate_lanes(model, runs, cfg, lambda traj: trajectory_slope(traj, V, window).point)
+    return _estimate(np.repeat(slopes, reps // len(runs)), cfg.t_final, "trajectory_slope")
 
 
 def _is_early(traj: Trajectory, cfg: SimConfig) -> bool:
@@ -243,7 +245,7 @@ def robustness_scan(model_family: Callable, grid: Sequence, ics, cfg: SimConfig,
 def _scan_lanes(lanes, grid, family, ics, cfg, reps, seed, burn) -> list:
     """``boundary_exponent`` at each grid value, with the runs of all values
     stepped as lanes of one block spec made by ``lanes``."""
-    runs = [_boundary_replicas(model, ics, reps, seed) for model, _ in family]
+    runs = [_distinct_replicas(model, ics, reps, seed) for model, _ in family]
     replicas = [rep for run in runs for rep in run]
     thetas = np.asarray([theta for theta, run in zip(grid, runs) for _ in run])
     Hs = [H for (_, H), run in zip(family, runs) for _ in run]

@@ -6,9 +6,9 @@ block of one lane, so both give a replica the same path bit for bit.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
-jump clock.  Simulations stop early once the model's extinction distance
-drops below ``floor_epsilon`` (the floor is disabled when the initial
-condition already sits on the extinction set, so boundary dynamics can run).
+jump clock.  Simulations stop at the first point whose extinction distance
+is below ``floor_epsilon``, checked every ``_FLOOR_EVERY`` rows (but never
+when the initial condition sits on the extinction set, so boundary dynamics run).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import ExtinctdError, NonFiniteState, RateBoundViolated
 from .process_core import ModelSpec, RngStream, StateVector, Trajectory, _matvec, as_generator
 
 _CHUNK = 4096
+_FLOOR_EVERY = 64  # record rows per floor check; divides _CHUNK, so no lane draws past its floor
 _LANES = 64  # replicas per lockstep block: bounds the block record
 _TIME_GUARD = 1e-9  # minimum jump offset, as a fraction of dt
 
@@ -54,19 +55,18 @@ def _check_finite(x: np.ndarray, step: Optional[int] = None, t: Optional[float] 
         raise NonFiniteState(f"non-finite state{where}: {x}")
 
 
-def _advance(model: ModelSpec, x, s, h, z):
-    """One raw EM update over a step of length h with unit normals z, for one
-    state x or, row by row, for a block of them."""
-    if model.coefficients is not None and z is not None:
+def _advance(model: ModelSpec, x, s, h, dw):
+    """One raw EM update over a step of length h with Brownian increment
+    dw = sqrt(h) z, for one state x or, row by row, for a block of them."""
+    if model.coefficients is not None and dw is not None:
         f, g = model.coefficients(x, s)
-        return model.domain_projection(x + f * h + g * (math.sqrt(h) * z), s)
+        return model.domain_projection(x + f * h + g * dw, s)
     xn = x + model.drift(x, s) * h
-    if z is not None:
-        sq = math.sqrt(h)
+    if dw is not None:
         if model.diffusion_diag is not None:
-            xn = xn + model.diffusion_diag(x, s) * (sq * z)
+            xn = xn + model.diffusion_diag(x, s) * dw
         else:
-            xn = xn + _matvec(model.diffusion(x, s), sq * z)
+            xn = xn + _matvec(model.diffusion(x, s), dw)
     return model.domain_projection(xn, s)
 
 
@@ -87,7 +87,7 @@ def em_step(model: ModelSpec, state: StateVector, dt: float, noise=None) -> Stat
         z = np.asarray(noise, dtype=float)
         if z.shape != (model.noise_dim,):
             raise ValueError(f"noise has shape {z.shape}, model wants ({model.noise_dim},)")
-    xn = _advance(model, state.x, state.regime, dt, z)
+    xn = _advance(model, state.x, state.regime, dt, None if z is None else math.sqrt(dt) * z)
     _check_finite(xn)
     return StateVector(xn, state.regime)
 
@@ -108,10 +108,9 @@ def _regime_jumps(model, x, s, dt, gen, lam, first_count=None):
     if count == 0:
         return []
     q = np.asarray(model.switch_rates(x), dtype=float)
-    if np.max(-np.diag(q)) > lam * (1 + 1e-12):
-        raise RateBoundViolated(
-            f"|q_ii(x)| = {np.max(-np.diag(q)):.6g} exceeds rate bound {lam:.6g}"
-        )
+    top = np.max(-np.diag(q))
+    if top > lam * (1 + 1e-12):
+        raise RateBoundViolated(f"|q_ii(x)| = {top:.6g} exceeds rate bound {lam:.6g}")
     offsets = np.sort(gen.uniform(0.0, dt, size=count))
     jumps = []
     cur = s
@@ -141,9 +140,7 @@ def switch_step(model: ModelSpec, state: StateVector, dt: float, rng,
     if model.family != "switching_diffusion":
         raise ValueError("switch_step requires a switching diffusion")
     gen = as_generator(rng)
-    lam = max_rate_bound
-    if lam is None:
-        lam = _rate_bound(model, state.x)
+    lam = _rate_bound(model, state.x) if max_rate_bound is None else max_rate_bound
     if lam <= 0.0:
         return state
     jumps = _regime_jumps(model, state.x, state.regime, dt, gen, lam)
@@ -176,10 +173,9 @@ def _clock(model, x0: StateVector, cfg: SimConfig):
     (0 when the regime never switches)."""
     switching = model.family == "switching_diffusion" and model.n_regimes > 1
     s = x0.regime if x0.regime is not None else (0 if switching else None)
-    lam = 0.0
-    if switching:
-        lam = cfg.max_rate_bound if cfg.max_rate_bound is not None else _rate_bound(model, x0.x)
-    return s, lam
+    if not switching:
+        return s, 0.0
+    return s, cfg.max_rate_bound if cfg.max_rate_bound is not None else _rate_bound(model, x0.x)
 
 
 def _jump_step(model, x, s, k, dt, z, gen, lam, count, push):
@@ -205,12 +201,13 @@ def _jump_step(model, x, s, k, dt, z, gen, lam, count, push):
             s = target
             pending = True
             continue
-        x = _advance(model, x, s, tau - t_cur, z)
+        x = _advance(model, x, s, tau - t_cur, None if z is None else math.sqrt(tau - t_cur) * z)
         s = target
         push(tau, x, s)
         t_cur = tau
         z = gen.standard_normal(model.noise_dim) if model.noise_dim > 0 else None
-    return _advance(model, x, s, t1 - t_cur, z), s, pending
+    h = t1 - t_cur
+    return _advance(model, x, s, h, None if z is None else math.sqrt(h) * z), s, pending
 
 
 def simulate(model: ModelSpec, x0: StateVector, cfg: SimConfig, rng) -> Trajectory:
@@ -253,8 +250,10 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     the steps left, if fewer, but always ``_CHUNK`` in a block with a regime
     clock; a lane steps with the same draws whatever lanes are beside it.
     A lane whose regime clock fires in a step takes that step alone by exact
-    thinning, and one that reaches the extinction floor stays frozen until
-    its block ends.
+    thinning.  A lane stays frozen at its first row below the extinction
+    floor until its block ends; the up to ``_FLOOR_EVERY - 1`` steps it took
+    past that row before the floor check leave no trace, but a switching
+    lane's thinning may have drawn from its generator.
     ``reduce`` maps each path as it is cut from its block's record, so a
     caller that keeps only a statistic of each path holds one block's record
     and one path at a time.
@@ -265,10 +264,8 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     keep = (lambda traj: traj) if reduce is None else reduce
     for _, ic, _ in replicas:
         _check_dim(model, ic)
-    out = []
-    for lo, hi in _lane_blocks(len(replicas)):
-        out += map(keep, _simulate_block(model, replicas[lo:hi], cfg))
-    return out
+    return [keep(path) for lo, hi in _lane_blocks(len(replicas))
+            for path in _simulate_block(model, replicas[lo:hi], cfg)]
 
 
 def _lane_blocks(n: int) -> list:
@@ -299,27 +296,17 @@ def _simulate_block(model, replicas, cfg: SimConfig):
     S = None if all(s is None for s in starts) else np.array(
         [0 if s is None else s for s in starts], dtype=np.int64)
     X = np.array([ic.x for _, ic, _ in replicas])
-    floor_on = model.extinction_distance(X, S) > cfg.floor_epsilon
+    h, sq = np.array(dt), math.sqrt(dt)  # a 0-d h multiplies a block faster than a float
     advance = _advance
-
-    def floor_hits(X, S):  # the mask of watched lanes at the floor, or None
-        hit = (model.extinction_distance(X, S) < cfg.floor_epsilon) & watch
-        return hit if np.count_nonzero(hit) else None  # skips ndarray.any's Python wrapper
-
     if n == 1:
         # a lone lane calls the model on its 1-d row, with the bits of its
         # block row (a contract of every callback) at less cost per step
-        def advance(model, X, S, h, z):
+        def advance(model, X, S, h, dw):
             return _advance(model, X[0], None if S is None else int(S[0]), h,
-                            None if z is None else z[0])[None]
-
-        def floor_hits(X, S):
-            d = float(model.extinction_distance(X[0], None if S is None else int(S[0])))
-            return watch.copy() if d < cfg.floor_epsilon else None
+                            None if dw is None else dw[0])[None]
 
     alive = np.ones(n, dtype=bool)
-    watch = floor_on.copy()  # alive lanes the floor can stop
-    watching = bool(watch.any())
+    watch = model.extinction_distance(X, S) > cfg.floor_epsilon  # alive lanes the floor can stop
     n_alive = n
     last = [n_steps] * n  # grid index of each lane's final point
     inserted = [[] for _ in range(n)]  # (grid index it precedes, t, x, s)
@@ -330,6 +317,28 @@ def _simulate_block(model, replicas, cfg: SimConfig):
     ss = None if S is None else [np.empty((len(xs[0]), n), dtype=np.int64)]
     if ss is not None:
         ss[0][0] = S
+    seen = 0  # the last record row checked against the floor
+
+    def settle(g):
+        """Check rows seen+1..g at once; a watched lane stops at its first row below the floor."""
+        nonlocal seen, n_alive
+        a, seen = seen + 1, g
+        if g < a or not watch.any():
+            return False
+        rows, regs = _rows(xs, a, g + 1), None if ss is None else _rows(ss, a, g + 1)
+        d = model.extinction_distance(rows.reshape(-1, dim), None if regs is None else regs.ravel())
+        hit = (np.reshape(d, rows.shape[:2]) < cfg.floor_epsilon) & watch
+        stop = np.flatnonzero(hit.any(axis=0))
+        for i in stop.tolist():
+            last[i] = f = a + int(hit[:, i].argmax())
+            X[i] = rows[f - a, i]  # frozen at its floor row
+            if S is not None:
+                S[i] = regs[f - a, i]
+            inserted[i] = [p for p in inserted[i] if p[0] <= f]
+            folded[i] = [q for q in folded[i] if q <= f]
+        alive[stop] = watch[stop] = False
+        n_alive = int(alive.sum())
+        return stop.size > 0
 
     for k in range(n_steps):
         r = k % _CHUNK
@@ -344,6 +353,7 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                 zb = np.zeros((size, n, nd))
                 for i in live:
                     zb[:, i] = gens[i].standard_normal((size, nd))
+                dwb = zb * sq if thin else np.multiply(zb, sq, out=zb)  # split steps need zb
             if thin:
                 cb = np.zeros((size, n), dtype=np.int64)
                 for i in thin:
@@ -353,9 +363,18 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         t1 = (k + 1) * dt
         if chain:
             xn, bad = _chain_step(model, X, xib[r], alive, k, t1)
+            if bad and settle(k):  # lanes the floor stopped take no step k: step again
+                xn, bad = _chain_step(model, X, xib[r], alive, k, t1)
         else:
-            z = zb[r] if nd > 0 else None
-            xn = advance(model, X, S, dt, z)
+            dw = dwb[r] if nd > 0 else None
+            try:
+                xn = advance(model, X, S, h, dw)
+            except Exception:
+                if not settle(k):
+                    raise
+                if n_alive == 0:
+                    break
+                xn = advance(model, X, S, h, dw)  # from the floor rows, as the lanes stopped
             bad = []
         if thin and fired[r]:
             for i in np.flatnonzero(cb[r]).tolist():
@@ -364,12 +383,16 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                 pts = inserted[i]
                 try:
                     xn[i], S[i], pending = _jump_step(
-                        model, X[i], int(S[i]), k, dt, None if z is None else z[i],
+                        model, X[i], int(S[i]), k, dt, zb[r, i] if nd > 0 else None,
                         gens[i], lams[i], cb[r, i],
                         lambda t, xj, sj, pts=pts, g=k + 1: pts.append((g, t, xj, sj)))
                 except RateBoundViolated as exc:
                     bad.append((i, exc))
                     continue
+                except Exception:
+                    if settle(k) and not alive[i]:
+                        continue
+                    raise
                 if pending:
                     folded[i].append(k + 1)
         if n_alive < n:
@@ -381,6 +404,10 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                     _check_finite(xn[i], k, t1)
                 except NonFiniteState as exc:
                     bad.append((i, exc))
+        if bad:  # a lane the floor stopped before step k leaves no failure
+            settle(k)
+            bad = [e for e in bad if alive[e[0]]]
+            np.copyto(xn, X, where=~alive[:, None])
         if bad:
             lane, exc = min(bad, key=lambda e: e[0])
             if failed is None or lane < failed[0]:
@@ -388,7 +415,6 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             # serial order would never run the lanes after a failed one
             alive[lane:] = False
             watch &= alive
-            watching = bool(watch.any())
             n_alive = int(alive.sum())
             xn[lane:] = X[lane:]
         X = xn
@@ -400,15 +426,8 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         xs[-1][g % _CHUNK] = X
         if ss is not None:
             ss[-1][g % _CHUNK] = S
-        if watching:
-            hit = floor_hits(X, S)
-            if hit is not None:
-                for i in np.flatnonzero(hit).tolist():
-                    last[i] = g
-                alive &= ~hit
-                watch &= ~hit
-                watching = bool(watch.any())
-                n_alive = int(alive.sum())
+        if g % _FLOOR_EVERY == 0 or g == n_steps:
+            settle(g)
         if n_alive == 0:
             break
 
@@ -462,16 +481,19 @@ def _chain_step(model, X, xi, alive, k, t):
         return xn, []  # only stopped lanes raised
 
 
+def _rows(chunks, a, b, lanes=slice(None)):
+    """Rows a..b-1, of the given lanes, of a block record kept in ``_CHUNK``-row chunks."""
+    return np.concatenate([c[max(a - j * _CHUNK, 0):b - j * _CHUNK, lanes] for j, c in
+                           enumerate(chunks[a // _CHUNK:(b - 1) // _CHUNK + 1], a // _CHUNK)])
+
+
 def _lane_path(xs, ss, i, last, dt, track_regime, inserted, folded) -> Trajectory:
     """Lane i's path: its grid points 0..last of the block record, with the
     regime-jump points it inserted spliced in before the grid points they
     precede."""
-    used = last // _CHUNK + 1
     times = np.arange(last + 1) * dt
-    states = np.concatenate([c[:, i] for c in xs[:used]])[: last + 1]
-    regimes = None
-    if track_regime:
-        regimes = np.concatenate([c[:, i] for c in ss[:used]])[: last + 1]
+    states = _rows(xs, 0, last + 1, i)
+    regimes = _rows(ss, 0, last + 1, i) if track_regime else None
     at = np.array([p[0] for p in inserted], dtype=np.int64)
     folded = np.array(folded, dtype=np.int64)
     if inserted:

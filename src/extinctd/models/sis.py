@@ -63,8 +63,11 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         q_mat = np.zeros((1, 1))
     else:
         q_mat = validate_rate_matrix(Q, m)
+    # 0-d constants: a 0-d array times a block costs less than a scalar, same bits
+    one, zero, scale = np.array(1.0), np.array(0.0), np.array(sigma_scale, dtype=float)
+    betas, deltas = [np.array(b) for b in beta], [np.array(d) for d in delta]
     if sigma is None:
-        sigma = lambda xi, s=None: sigma_scale * np.asarray(xi, dtype=float)
+        sigma = lambda xi, s=None: scale * np.asarray(xi, dtype=float)
     probe = np.asarray(sigma(np.zeros(n_nodes), 0), dtype=float)
     if np.any(np.abs(probe) > 1e-14):
         raise NegativeRate("sigma_i(0, s) must vanish (extinction-set invariance)")
@@ -74,7 +77,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         one state or a batch, and s None, an int or an int array."""
         k = 0 if s is None else s
         if not isinstance(k, np.ndarray):
-            return _matvec(adj[k], v), beta[k], delta[k]
+            return _matvec(adj[k], v), betas[k], deltas[k]
         # A(j) v for every regime j and row, then row i's A(s_i) v_i: m
         # products per row, but no (n, N, N) stack of A(s)
         b = np.matmul(adj[:, None], v[..., None])[k, np.arange(len(k)), :, 0]
@@ -83,7 +86,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
     def coefficients(x, s=None):
         """Drift and noise diagonal at (x, s), from one A(s) x."""
         b, bet, dlt = _regime(x, s)
-        omx = 1.0 - x
+        omx = one - x
         return bet * b * omx - dlt * x, sigma(x, 0 if s is None else s) * b * omx
 
     switching = m > 1
@@ -95,7 +98,7 @@ def make_sis(adjacency, beta, delta, Q=None, sigma_scale: float = 0.2,
         coefficients=coefficients,
         switch_rates=(lambda x: q_mat) if switching else None,
         n_regimes=m,
-        domain_projection=lambda x, s=None: np.minimum(1.0, np.maximum(0.0, x)),
+        domain_projection=lambda x, s=None: np.minimum(one, np.maximum(zero, x)),
         extinction_distance=lambda x, s=None: _norm(x),
         name="sis",
     )

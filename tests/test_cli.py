@@ -116,6 +116,31 @@ def test_slope_experiment_linear(tmp_path):
     assert len(lines) == 4  # 2 replicas + mean
 
 
+@pytest.mark.parametrize("sigma", [None, [[0.2, 0.0], [0.0, 0.1]]])
+def test_slope_experiment_simulates_a_noise_free_path_once_per_ic(monkeypatch, tmp_path,
+                                                                  sigma):
+    # every replica of a noise-free model follows one path, so it runs once
+    # per ic and each replica's row keeps the slope its own run would give
+    import extinctd.cli as cli
+    from extinctd.exponents import trajectory_slope
+
+    params = {"A": [[-1.0, 0.0], [0.0, -3.0]], **({} if sigma is None else {"Sigma": sigma})}
+    raw = {"model": {"name": "linear", "params": params}, "experiment": "slope",
+           "sim": {"dt": 0.001, "t_final": 2.0}, "replicas": 3, "seed": 7,
+           "ics": [[0.7, 0.7], [0.2, -0.5]], "output": str(tmp_path / "out")}
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a: calls.append(a[1]) or simulate(*a))
+    cfg = config_from_dict(raw)
+    run_experiment(cfg)
+    assert len(calls) == (2 if sigma is None else 6)
+    b, sim = make_bundle("linear", params), cfg.sim_config()
+    want = [trajectory_slope(simulate(b.model, ic, sim, rng), b.suite.V).point
+            for _, ic, rng in replica_streams(cfg.state_vectors(None), 3, 7)]
+    rows = (tmp_path / "out" / "exponents.csv").read_text().splitlines()[1:7]
+    assert [float(r.split(",")[2]) for r in rows] == want
+    assert len(set(want)) == (2 if sigma is None else 6)
+
+
 def test_simulate_experiment_writes_trajectories(tmp_path):
     cfg = config_from_dict(sis_config(tmp_path / "out", experiment="simulate",
                                       ics=[[0.4, 0.5]]))
@@ -482,7 +507,8 @@ def test_lorenz_criterion_runs_from_the_configured_ics(tmp_path):
                             cfg.sim_config(), 2, seed=5, burn_in=2.0)
     assert rep["estimate"] == est.to_dict()
     assert rep["index"] == est.point
-    assert rep["extinct"] is bool(est.ci_low > 0.0)
+    assert type(est.ci_low) is float
+    assert rep["extinct"] is (est.ci_low > 0.0)
 
 
 def test_shipped_configs_parse_and_validate():

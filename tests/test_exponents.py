@@ -47,6 +47,17 @@ def test_estimate_invariants():
     assert one.ci_low == one.point == one.ci_high == 0.3
 
 
+def test_estimate_ends_are_python_floats_with_the_numpy_bits():
+    # a verdict est.ci_low > 0 is then a Python bool, with no bool(...) wrapper
+    for values in ([0.0, 1.0], [0.3], [0.2, 0.25, 0.31, 0.4]):
+        est = _estimate(values, 1.0, "boundary_average")
+        assert type(est.point) is type(est.ci_low) is type(est.ci_high) is float
+        v = np.asarray(values)
+        half = t975(v.size - 1) * float(v.std(ddof=1)) / np.sqrt(v.size) if v.size > 1 else 0.0
+        assert (est.ci_low, est.ci_high) == (est.point - half, est.point + half)
+        assert type(est.ci_low > 0.0) is bool
+
+
 def test_t975_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
     for nu in range(1, 201):
@@ -93,6 +104,23 @@ def test_slope_slowest_mode_dominates(linear_det):
     oracle = linear_sde_exponent(np.diag([-1.0, -3.0]))
     assert oracle == 1.0
     assert est.point == pytest.approx(oracle, rel=0.05)
+
+
+def test_slope_experiment_simulates_a_noise_free_path_once(monkeypatch, linear_det):
+    import extinctd.exponents as exponents
+
+    lanes = []
+    step = exponents.simulate_lanes
+    monkeypatch.setattr(exponents, "simulate_lanes",
+                        lambda m, reps, *a: lanes.append(len(reps)) or step(m, reps, *a))
+    cfg = SimConfig(dt=1e-3, t_final=2.0)
+    est = slope_experiment(linear_det.model, linear_det.suite.V, linear_det.default_ic, cfg,
+                           reps=4, seed=1)
+    assert lanes == [1]
+    slope = trajectory_slope(simulate(linear_det.model, linear_det.default_ic, cfg,
+                                      RngStream(1, 3)), linear_det.suite.V).point
+    assert est == _estimate([slope] * 4, cfg.t_final, "trajectory_slope")
+    assert est.n_replicas == 4 and est.ci_low == est.point == est.ci_high == slope
 
 
 def test_boundary_exponent_constant_H():

@@ -7,6 +7,7 @@ import pytest
 from extinctd.errors import NonFiniteState, RateBoundViolated
 from extinctd.integrators import (
     _CHUNK,
+    _FLOOR_EVERY,
     SimConfig,
     _advance,
     _clock,
@@ -173,7 +174,7 @@ def _diffusion_reference(model, ic, cfg, rng):
         if cb is not None and cb[k % _CHUNK] > 0:
             x, s, pending = _jump_step(model, x, s, k, dt, z, gen, lam, cb[k % _CHUNK], push)
         else:
-            x, pending = _advance(model, x, s, dt, z), False
+            x, pending = _advance(model, x, s, dt, None if z is None else math.sqrt(dt) * z), False
         push((k + 1) * dt, x, s, pending)
         if floor_on and float(model.extinction_distance(x, s)) < cfg.floor_epsilon:
             break
@@ -468,6 +469,117 @@ def test_simulate_lanes_steps_the_lorenz_cylinder_as_lanes(monkeypatch, alpha0):
                         lambda m, reps, c: blocks.append(len(reps)) or step_block(m, reps, c))
     _assert_same_paths(simulate_lanes(cyl, replicas, cfg), want)
     assert blocks == [4]
+
+
+def test_the_floor_is_checked_on_whole_windows_of_every_chunk():
+    # a chunk edge is always a floor check, so no lane draws a chunk past its floor
+    assert _CHUNK % _FLOOR_EVERY == 0 and 1 < _FLOOR_EVERY < _CHUNK
+
+
+def ramp_model(below=None):
+    """x falls by 1 per unit step towards the floor |x| < 1, which it meets
+    at its first x = 0.5, from x0 = m + 0.5; ``below`` is the drift at
+    x < 0: "rise" climbs back above the floor, "raise" raises and "nan"
+    returns NaN."""
+    def drift(x, s):
+        if below == "raise" and np.any(x < 0.0):
+            raise ValueError("drift below the floor")
+        return np.where(x < 0.0, {"rise": 5.0, "nan": np.nan}.get(below, -1.0), -1.0)
+
+    return ModelSpec(family="sde", dim=1, noise_dim=1, drift=drift,
+                     diffusion_diag=lambda x, s: 0.0 * x,
+                     extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+
+
+def test_lanes_stop_at_their_first_floor_row_mid_window_and_across_the_chunk_edge():
+    # floor rows 30 (mid-window), 4095 and 4096 (the window over the chunk
+    # edge) and 4100; past it a lane climbs back above the floor and meets
+    # it again, so only its first row below the floor may end its path
+    cfg = SimConfig(dt=1.0, t_final=5000.0, floor_epsilon=1.0)
+    rows = [30, 4095, 4096, 4100]
+    ics = [StateVector(np.array([g + 0.5])) for g in rows]
+    replicas = replica_streams(ics, 1, 2)
+    m = ramp_model("rise")
+    want = [_diffusion_reference(m, ic, cfg, rng) for _, ic, rng in replicas]
+    assert [len(t.times) - 1 for t in want] == rows
+    assert all(t.states[-1, 0] == 0.5 for t in want)
+    _assert_same_paths([simulate(m, ic, cfg, rng) for _, ic, rng in replicas], want)
+    _assert_same_paths(simulate_lanes(m, replicas[:1] + replicas[2:], cfg), want[:1] + want[2:])
+    # a lane draws the chunks of the steps it takes and no more: a caller's
+    # generator ends where those draws leave it
+    for g, ic in zip(rows, ics):
+        gen, single = np.random.default_rng(g), np.random.default_rng(g)
+        simulate(m, ic, cfg, gen)
+        single.standard_normal((_CHUNK, 1))
+        if g > _CHUNK:
+            single.standard_normal((5000 - _CHUNK, 1))
+        assert gen.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("below", ["raise", "nan"])
+def test_a_drift_that_fails_below_the_floor_leaves_no_trace(below):
+    # each lane steps past its floor row until the next floor check, into
+    # x < 0 where the drift fails; alone or in a block, every path must end
+    # at its floor row as if the lane had stopped there, with no error
+    cfg = SimConfig(dt=1.0, t_final=200.0, floor_epsilon=1.0)
+    rows = [10, 100, 3]  # lane 2 fails in the block first, beside live lanes
+    replicas = replica_streams([StateVector(np.array([g + 0.5])) for g in rows], 1, 5)
+    m = ramp_model(below)
+    want = [_diffusion_reference(m, ic, cfg, rng) for _, ic, rng in replicas]
+    assert [len(t.times) - 1 for t in want] == rows
+    _assert_simulate_and_lanes_follow_the_reference(m, replicas, cfg)
+
+
+def test_a_chain_that_fails_below_the_floor_leaves_no_trace():
+    # lane 0 meets the floor first and its step_map raises past it; the
+    # block step raises, and the lanes above it must still take that step
+    def step_map(x, xi):
+        if np.any(x < 0.0):
+            raise ValueError("step_map below the floor")
+        return x - 1.0
+
+    chain = ModelSpec(family="discrete_chain", dim=1, step_map=step_map,
+                      noise_sampler=lambda gen, size=None: gen.standard_normal(size),
+                      extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+    cfg = SimConfig(dt=1.0, t_final=100.0, floor_epsilon=1.0)
+    replicas = replica_streams([StateVector(np.array([g + 0.5])) for g in (2, 20, 5)], 1, 6)
+    want = [_chain_reference(chain, ic, cfg, rng) for _, ic, rng in replicas]
+    assert [len(t.times) - 1 for t in want] == [2, 20, 5]
+    _assert_same_paths([simulate(chain, ic, cfg, rng) for _, ic, rng in replicas], want)
+    _assert_same_paths(simulate_lanes(chain, replicas, cfg), want)
+
+
+@pytest.mark.parametrize("below", ["jumps", "raise", "rate"])
+def test_a_switching_lane_keeps_no_jump_after_its_floor_row(monkeypatch, below):
+    # fast switching inserts and folds jumps; a lane that meets the floor
+    # takes jump steps past it until the next floor check, whose points,
+    # folds and failures ("raise": switch_rates raises below x = 0, "rate":
+    # the rates break the bound there) must all be dropped
+    import extinctd.integrators as integrators
+
+    q = np.array([[-30.0, 30.0], [40.0, -40.0]])
+
+    def rates(x):
+        if x[0] < 0.0 and below == "raise":
+            raise ValueError("switch_rates below the floor")
+        return q * 10.0 if x[0] < 0.0 and below == "rate" else q
+
+    m = ModelSpec(family="switching_diffusion", dim=1, noise_dim=1,
+                  drift=lambda x, s: -(1.0 + np.asarray(s, dtype=float)[..., None]) + 0.0 * x,
+                  diffusion_diag=lambda x, s: 0.3 * x, switch_rates=rates, n_regimes=2,
+                  extinction_distance=lambda x, s=None: np.abs(np.asarray(x)[..., 0]))
+    monkeypatch.setattr(integrators, "_TIME_GUARD", 0.3)
+    starts = []  # the state each jump step starts from
+    jump_step = integrators._jump_step
+    monkeypatch.setattr(integrators, "_jump_step",
+                        lambda *a: starts.append(a[1][0]) or jump_step(*a))
+    cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0, floor_epsilon=0.05)
+    replicas = replica_streams([StateVector(np.array([x]), 0) for x in (0.8, 2.0, 0.5)], 1, 4)
+    want = _assert_simulate_and_lanes_follow_the_reference(m, replicas, cfg)
+    assert all(t.duration < cfg.t_final for t in want)
+    on_grid = np.concatenate([np.isin(t.times[t.jumps], np.arange(201) * cfg.dt) for t in want])
+    assert on_grid.any() and not on_grid.all()  # folded and inserted jumps
+    assert min(starts) < 0.0  # jump steps ran past a floor row
 
 
 def test_ou_stationary_variance():
