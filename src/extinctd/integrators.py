@@ -2,7 +2,9 @@
 discrete-chain stepping, and Poissonization of chains into continuous time.
 There is one path kernel: ``simulate_lanes`` steps a run's replicas together
 in blocks, each replica drawing from its own generator, and ``simulate`` is a
-block of one lane, so both give a replica the same path bit for bit.
+block of one lane, so both give a replica the same path bit for bit.  For a
+model with a constant ``additive_noise`` G, a block without a regime clock
+forms G dW once per chunk of steps.
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -68,6 +70,11 @@ def _advance(model: ModelSpec, x, s, h, dw):
         else:
             xn = xn + _matvec(model.diffusion(x, s), dw)
     return model.domain_projection(xn, s)
+
+
+def _additive(model: ModelSpec, x, s, h, gdw):
+    """``_advance`` for a model with ``additive_noise`` G, given gdw = G dw."""
+    return model.domain_projection(x + model.drift(x, s) * h + gdw, s)
 
 
 def em_step(model: ModelSpec, state: StateVector, dt: float, noise=None) -> StateVector:
@@ -250,8 +257,10 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     the steps left, if fewer, but always ``_CHUNK`` in a block with a regime
     clock; a lane steps with the same draws whatever lanes are beside it.
     A lane whose regime clock fires in a step takes that step alone by exact
-    thinning.  A lane stays frozen at its first row below the extinction
-    floor until its block ends; the up to ``_FLOOR_EVERY - 1`` steps it took
+    thinning; a block with no regime clock multiplies a model's constant
+    ``additive_noise`` G into each chunk of increments at once.  A lane
+    stays frozen at its first row below the extinction floor until its
+    block ends; the up to ``_FLOOR_EVERY - 1`` steps it took
     past that row before the floor check leave no trace, but a switching
     lane's thinning may have drawn from its generator.
     ``reduce`` maps each path as it is cut from its block's record, so a
@@ -297,13 +306,15 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         [0 if s is None else s for s in starts], dtype=np.int64)
     X = np.array([ic.x for _, ic, _ in replicas])
     h, sq = np.array(dt), math.sqrt(dt)  # a 0-d h multiplies a block faster than a float
-    advance = _advance
+    # constant noise without a regime clock: each chunk's G dw is formed at once
+    G = model.additive_noise if nd > 0 and not thin else None
+    advance = step = _advance if G is None else _additive
     if n == 1:
         # a lone lane calls the model on its 1-d row, with the bits of its
         # block row (a contract of every callback) at less cost per step
         def advance(model, X, S, h, dw):
-            return _advance(model, X[0], None if S is None else int(S[0]), h,
-                            None if dw is None else dw[0])[None]
+            return step(model, X[0], None if S is None else int(S[0]), h,
+                        None if dw is None else dw[0])[None]
 
     alive = np.ones(n, dtype=bool)
     watch = model.extinction_distance(X, S) > cfg.floor_epsilon  # alive lanes the floor can stop
@@ -354,6 +365,7 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                 for i in live:
                     zb[:, i] = gens[i].standard_normal((size, nd))
                 dwb = zb * sq if thin else np.multiply(zb, sq, out=zb)  # split steps need zb
+                dwb = dwb if G is None else _matvec(G, dwb)  # by the kernel of one step's G dw
             if thin:
                 cb = np.zeros((size, n), dtype=np.int64)
                 for i in thin:

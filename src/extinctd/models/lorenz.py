@@ -44,17 +44,26 @@ def lorenz_cylinder(gamma, z_star, alpha0):
     alpha0 = np.asarray(alpha0, dtype=float)
     noise = np.zeros(alpha0.shape + (2, 1))  # (2, 1) or (n, 2, 1)
     noise[..., 1, 0] = alpha0
+    neg_gamma = -gamma
 
     def drift(u, s=None):
-        th, z = u.T
         # float_power keeps libm's pow, as math.sin(th) ** 2 did; a block's
         # ** 2 squares instead, which rounds differently for about 0.1% of th
-        return np.array([1.0 - z * np.float_power(np.sin(th), 2), -gamma * (z - z_star)]).T
+        if u.ndim == 1:  # numpy scalars: cheaper than writing 0-d columns
+            th, z = u
+            return np.array([1.0 - z * np.float_power(np.sin(th), 2), neg_gamma * (z - z_star)])
+        out = np.empty(u.shape)
+        th, z, d_th, d_z = u[..., 0], u[..., 1], out[..., 0], out[..., 1]
+        np.float_power(np.sin(th, out=d_th), 2, out=d_th)
+        np.subtract(1.0, np.multiply(z, d_th, out=d_th), out=d_th)
+        np.multiply(neg_gamma, np.subtract(z, z_star, out=d_z), out=d_z)
+        return out
 
     noisy = max(alpha0.flat) > 0.0  # any alpha0 > 0, without a numpy reduction's cost
     boundary = ModelSpec(
         family="sde", dim=2, noise_dim=1 if noisy else 0,
         drift=drift, diffusion=(lambda u, s=None: noise) if noisy else None,
+        additive_noise=noise if noisy else None,
         extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
         name="lorenz-cylinder",
     )
@@ -69,10 +78,11 @@ def lorenz_cylinder(gamma, z_star, alpha0):
 def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
                 alpha0: float = 0.0) -> ModelBundle:
     """Lorenz bundle: 3-d SDE, exp-quadratic suite, cylinder companions."""
-    if min(gamma, eta) <= 0:
-        raise NegativeParameter("gamma and eta must be positive")
-    if alpha0 < 0:
-        raise NegativeParameter("alpha0 must be nonnegative")
+    for name, value, ok in (("gamma", gamma, gamma > 0), ("eta", eta, eta > 0),
+                            ("z_star", z_star, True), ("alpha0", alpha0, alpha0 >= 0)):
+        if not (ok and math.isfinite(value)):  # a NaN fails both
+            raise NegativeParameter(f"{name} = {value!r}: need finite values, gamma, eta > 0 "
+                                    "and alpha0 >= 0")
     noisy = alpha0 > 0.0
     noise_col = np.array([[0.0], [0.0], [alpha0]])
 
@@ -87,6 +97,7 @@ def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
     model = ModelSpec(
         family="sde", dim=3, noise_dim=1 if noisy else 0,
         drift=drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
+        additive_noise=noise_col if noisy else None,
         extinction_distance=lambda u, s=None: np.sqrt(
             np.asarray(u)[..., 0] ** 2 + np.asarray(u)[..., 1] ** 2),
         name="lorenz",
@@ -118,24 +129,24 @@ def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
     # full blow-up (theta, R, z) on its cylinder (theta, z): dR = -R H dt, and
     # the z rate adds the R^2 term of -x(x + eta y)
     def bl_drift(u, s=None):
-        th, r, _ = u.T
-        cyl = u[..., ::2]
-        d_th, d_z = boundary.drift(cyl).T
+        th, r, cyl = u[..., 0], u[..., 1], u[..., ::2]
+        out = np.empty(u.shape)
+        out[..., ::2] = boundary.drift(cyl)
+        out[..., 1] = r * -boundary_H(cyl)
         st = np.sin(th)
-        return np.array([
-            d_th,
-            r * -boundary_H(cyl),
-            d_z - r * r * st * (st + eta * (np.cos(th) - st)),
-        ]).T
+        out[..., 2] -= r * r * st * (st + eta * (np.cos(th) - st))
+        return out
 
     def bl_project(u, s=None):
-        th, r, z = u.T
-        # r clamped as max(r, 0.0) does, which keeps -0.0 and NaN
-        return np.array([_remainder(th, 2.0 * math.pi), np.where(r < 0.0, 0.0, r), z]).T
+        out = np.array(u, dtype=float)
+        out[..., 0] = _remainder(u[..., 0], 2.0 * math.pi)
+        np.copyto(out[..., 1], 0.0, where=u[..., 1] < 0.0)  # max(r, 0.0): keeps -0.0 and NaN
+        return out
 
     blowup = ModelSpec(
         family="sde", dim=3, noise_dim=1 if noisy else 0,
         drift=bl_drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
+        additive_noise=noise_col if noisy else None,
         domain_projection=bl_project,
         extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., 1]),
         name="lorenz-blowup",

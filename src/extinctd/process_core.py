@@ -13,12 +13,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidRateMatrix,
-    MissingField,
-    UnknownModel,
-)
+from .errors import DimensionMismatch, InvalidRateMatrix, MissingField, UnknownModel
 
 RATE_ROW_TOL = 1e-12
 
@@ -143,9 +138,7 @@ def validate_rate_matrix(q, n_regimes=None) -> np.ndarray:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidRateMatrix("rate matrix must be square")
     if n_regimes is not None and q.shape[0] != n_regimes:
-        raise InvalidRateMatrix(
-            f"rate matrix is {q.shape[0]}x{q.shape[0]}, expected {n_regimes}"
-        )
+        raise InvalidRateMatrix(f"rate matrix is {q.shape[0]}x{q.shape[0]}, expected {n_regimes}")
     off = q - np.diag(np.diag(q))
     if off.min(initial=0.0) < 0:
         raise InvalidRateMatrix("off-diagonal rates must be nonnegative")
@@ -193,6 +186,11 @@ class ModelSpec:
     state or a block and for every regime form above; a noisy Euler-Maruyama
     step then calls it once in place of the two callbacks, so a model can
     share the work they have in common.
+    A diffusion with ``diffusion`` may also set ``additive_noise``, the
+    constant G that ``diffusion(x, s)`` returns bit for bit for every state
+    and regime, ``(dim, noise_dim)`` or, for a lane spec whose row i has its
+    own G, ``(n, dim, noise_dim)``; a block without a regime clock then
+    forms G dW once for each chunk of increments, not once per step.
     ``noise_sampler(gen)`` returns one draw; ``noise_sampler(gen, size)``
     returns ``size`` draws stacked on a leading axis, equal to ``size``
     single draws and leaving ``gen`` in the same state, as a numpy
@@ -207,6 +205,7 @@ class ModelSpec:
     diffusion: Optional[Callable] = None
     diffusion_diag: Optional[Callable] = None
     coefficients: Optional[Callable] = None
+    additive_noise: Optional[np.ndarray] = field(default=None, compare=False)  # unhashable
     switch_rates: Optional[Callable] = None
     n_regimes: int = 1
     step_map: Optional[Callable] = None
@@ -244,6 +243,11 @@ class ModelSpec:
                     or self.diffusion_diag is not None or self.coefficients is not None):
                 raise MissingField("drift/diffusion/diffusion_diag/coefficients are "
                                    "diffusion-only fields")
+        if self.additive_noise is not None:  # a chain has no diffusion, so none either
+            if self.diffusion is None or self.diffusion_diag is not None:
+                raise MissingField("additive_noise requires diffusion, not diffusion_diag")
+            if np.shape(self.additive_noise)[-2:] != (self.dim, self.noise_dim):
+                raise DimensionMismatch("additive_noise must end in (dim, noise_dim) axes")
 
 
 def distance_to_extinction(model: ModelSpec, state: StateVector) -> float:

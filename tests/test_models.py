@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from extinctd.errors import (InvalidAdjacency, MissingField, NegativeParameter, NegativeRate,
-                             NonPositiveF)
+from extinctd.errors import (DimensionMismatch, InvalidAdjacency, MissingField,
+                             NegativeParameter, NegativeRate, NonPositiveF)
 from extinctd.integrators import SimConfig, simulate, simulate_lanes
 from extinctd.lyapunov import generator_apply, qv_residual, dynkin_residual
 from extinctd.process_core import ModelSpec, RngStream, StateVector, replica_streams
@@ -137,10 +137,14 @@ def test_lorenz_quadruple_intertwining(lorenz_noisy):
 
 
 def test_lorenz_rejects_bad_parameters():
-    with pytest.raises(NegativeParameter):
-        make_lorenz(gamma=-1.0, z_star=0.5, eta=1.0, alpha0=0.0)
-    with pytest.raises(NegativeParameter):
-        make_lorenz(gamma=1.0, z_star=0.5, eta=1.0, alpha0=-0.1)
+    # a NaN alpha0 once built a noise-free model, as nan > 0 is false
+    for name, value in [("gamma", -1.0), ("gamma", 0.0), ("gamma", math.nan),
+                        ("gamma", math.inf), ("eta", -1.0), ("eta", math.nan), ("eta", math.inf),
+                        ("z_star", math.nan), ("z_star", math.inf), ("z_star", -math.inf),
+                        ("alpha0", -0.1), ("alpha0", math.nan), ("alpha0", math.inf)]:
+        params = {"gamma": 1.0, "z_star": 0.5, "eta": 1.0, "alpha0": 0.0, name: value}
+        with pytest.raises(NegativeParameter, match=f"^{name} = {value!r}:"):
+            make_lorenz(**params)
 
 
 def test_lorenz_classic_parameter_map_is_exact_change_of_variables():
@@ -482,6 +486,40 @@ def test_lorenz_cylinder_drift_keeps_the_bits_of_the_math_formula():
     assert _bits(cyl.drift(u)) == _bits(want)
 
 
+def _signed_zero_rows(gen, dim):
+    """A block of random rows, then every row of -0.0 and +0.0 entries."""
+    zeros = [[-0.0 if (j >> i) & 1 else 0.0 for i in range(dim)] for j in range(2 ** dim)]
+    return np.vstack([gen.uniform(-4.0, 4.0, size=(20000, dim)), zeros])
+
+
+def test_lorenz_drift_keeps_the_bits_of_the_one_state_formula():
+    # each row of a block must be the one-state formula's value, signed
+    # zeros included
+    gamma, z_star, eta = 0.7, 1.5, 1.3
+    model = make_lorenz(gamma, z_star, eta, 0.05).model
+    u = _signed_zero_rows(np.random.default_rng(6), 3)
+    want = [[y, x * (z - 2.0) - 2.0 * y, -(gamma * (z - z_star) + x * (x + eta * y))]
+            for x, y, z in u.tolist()]
+    assert _bits(model.drift(u)) == _bits(want)
+    signs = np.signbit(model.drift(u)[-8:, :2])  # the zero rates keep their signs
+    assert signs.any() and not signs.all()
+
+
+def test_lorenz_blowup_drift_keeps_the_bits_of_the_one_state_formula():
+    # dR = -R H dt, and the z rate adds the R^2 term of -x(x + eta y), where
+    # x = R sin(th) and x + y = R cos(th)
+    gamma, z_star, eta = 0.7, 1.5, 1.3
+    blowup = make_lorenz(gamma, z_star, eta, 0.05).blowup
+    u = _signed_zero_rows(np.random.default_rng(7), 3)
+    want = []
+    for th, r, z in u.tolist():
+        st, h = math.sin(th), 1.0 - 0.5 * z * math.sin(2.0 * th)
+        want.append([1.0 - z * math.sin(th) ** 2, r * -h,
+                     -gamma * (z - z_star) - r * r * st * (st + eta * (math.cos(th) - st))])
+    assert _bits(blowup.drift(u)) == _bits(want)
+    assert _bits(blowup.drift(u[-8:])[:, 1]) == _bits([r * -1.0 for r in u[-8:, 1]])
+
+
 def test_ricker_noise_sampler_sized_draws_equal_single_draws(ricker_extinct):
     sample = ricker_extinct.model.noise_sampler
     one, block = np.random.default_rng(8), np.random.default_rng(8)
@@ -659,6 +697,58 @@ def test_model_spec_takes_coefficients_only_beside_diffusion_diag():
         ModelSpec(family="discrete_chain", dim=1, step_map=lambda x, xi: x * xi,
                   noise_sampler=lambda gen, size=None: gen.uniform(size=size),
                   diffusion_diag=lambda x, s=None: 0.1 * x, extinction_distance=dist)
+
+
+def test_model_spec_takes_additive_noise_only_beside_diffusion():
+    dist = lambda x, s=None: np.abs(x[..., 0])
+    G = np.array([[0.0], [0.3]])
+    sde = dict(family="sde", dim=2, noise_dim=1, drift=lambda x, s=None: -x,
+               extinction_distance=dist)
+    for shape in ((2, 1), (5, 2, 1)):
+        spec = ModelSpec(**sde, diffusion=lambda x, s=None: G, additive_noise=np.zeros(shape))
+        assert spec == dataclasses.replace(spec) and hash(spec) == hash(dataclasses.replace(spec))
+    with pytest.raises(MissingField, match="additive_noise"):
+        ModelSpec(**dict(sde, noise_dim=0), additive_noise=np.zeros((2, 0)))
+    for noise in ({"diffusion_diag": lambda x, s=None: 0.3 * x},
+                  {"diffusion_diag": lambda x, s=None: 0.3 * x, "diffusion": lambda x, s=None: G}):
+        with pytest.raises(MissingField, match="diffusion_diag"):
+            ModelSpec(**dict(sde, noise_dim=2), **noise, additive_noise=np.zeros((2, 2)))
+    with pytest.raises(MissingField, match="additive_noise"):
+        ModelSpec(family="discrete_chain", dim=1, step_map=lambda x, xi: x * xi,
+                  noise_sampler=lambda gen, size=None: gen.uniform(size=size),
+                  additive_noise=np.zeros((1, 0)), extinction_distance=dist)
+    for shape in ((1, 2), (2, 2), (2,), (5, 1, 2), (5, 3, 1)):
+        with pytest.raises(DimensionMismatch, match="additive_noise"):
+            ModelSpec(**sde, diffusion=lambda x, s=None: G, additive_noise=np.zeros(shape))
+
+
+def test_every_shipped_additive_noise_is_what_diffusion_returns():
+    # a block without a regime clock forms G dw from additive_noise, so it
+    # must be diffusion's value, bit for bit, on one state and on a block;
+    # the specs: every registered one, a noise-free Lorenz, and Lorenz lanes
+    from extinctd.process_core import make_bundle, registered_models
+
+    bundles = [make_bundle(name, REGISTERED_PARAMS[name]) for name in registered_models()]
+    bundles.append(make_lorenz(0.7, 1.5, 1.3, 0.0))
+    specs = [s for b in bundles for s in (b.model, b.boundary, b.blowup)]
+    specs += [b.boundary_lanes(p, v) for b in bundles if b.boundary_lanes is not None
+              for p, v in (("alpha0", [0.05, 0.0, 0.3]), ("gamma", [0.5, 1.0, 2.0]))]
+    specs = [spec for spec in specs if spec is not None and spec.additive_noise is not None]
+    # the noisy Lorenz specs and lanes; a lane spec is noisy if any alpha0 > 0
+    assert sorted(spec.name for spec in specs) == ["lorenz", "lorenz-blowup"] + [
+        "lorenz-cylinder"] * 4
+    gen = np.random.default_rng(3)
+    for spec in specs:
+        G = spec.additive_noise
+        block = gen.uniform(-4.0, 4.0, size=(3, spec.dim))
+        block[0] = -0.0
+        forms = [block] if G.ndim == 3 else [block] + list(block)  # lanes come as a block
+        for u in forms:
+            g = spec.diffusion(u)
+            assert np.shape(g) in ((spec.dim, spec.noise_dim), u.shape[:-1] + G.shape[-2:])
+            assert _bits(np.broadcast_to(g, G.shape)) == _bits(G), spec.name
+    lanes = [spec for spec in specs if spec.additive_noise.ndim == 3]
+    assert [spec.additive_noise[:, 1, 0].tolist() for spec in lanes] == [[0.05, 0.0, 0.3]] * 2
 
 
 def test_sis_steps_its_paths_bit_for_bit_with_or_without_the_fused_callback():
