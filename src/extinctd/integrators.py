@@ -257,12 +257,12 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     the steps left, if fewer, but always ``_CHUNK`` in a block with a regime
     clock; a lane steps with the same draws whatever lanes are beside it.
     A lane whose regime clock fires in a step takes that step alone by exact
-    thinning; a block with no regime clock multiplies a model's constant
-    ``additive_noise`` G into each chunk of increments at once.  A lane
-    stays frozen at its first row below the extinction floor until its
-    block ends; the up to ``_FLOOR_EVERY - 1`` steps it took
-    past that row before the floor check leave no trace, but a switching
-    lane's thinning may have drawn from its generator.
+    thinning, and a block with no regime clock forms a chunk's G dW at once
+    from a model's ``additive_noise`` G.  A lane stays frozen at its first
+    row below the extinction floor until its block ends; the up to
+    ``_FLOOR_EVERY - 1`` steps it took past that row before the floor check
+    leave no trace, but a switching lane's thinning may have drawn from its
+    generator.
     ``reduce`` maps each path as it is cut from its block's record, so a
     caller that keeps only a statistic of each path holds one block's record
     and one path at a time.
@@ -361,11 +361,13 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             if chain:
                 xib = _chain_noise(model, gens, live, n, size)
             if nd > 0:
+                zb = dwb = None  # the last chunk's arrays go before the next is drawn
                 zb = np.zeros((size, n, nd))
                 for i in live:
                     zb[:, i] = gens[i].standard_normal((size, nd))
                 dwb = zb * sq if thin else np.multiply(zb, sq, out=zb)  # split steps need zb
-                dwb = dwb if G is None else _matvec(G, dwb)  # by the kernel of one step's G dw
+                if G is not None:  # by the kernel of one step's G dw; only G dw is kept
+                    zb, dwb = None, _matvec(G, dwb)
             if thin:
                 cb = np.zeros((size, n), dtype=np.int64)
                 for i in thin:

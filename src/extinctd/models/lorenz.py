@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ..criteria import lorenz_lambda0
-from ..errors import NegativeParameter
+from ..errors import NegativeParameter, NonFiniteParameter
 from ..process_core import ModelSpec, StateVector
 from .base import ModelBundle, QuadrupleMap, power_suite
 
@@ -62,8 +62,7 @@ def lorenz_cylinder(gamma, z_star, alpha0):
     noisy = max(alpha0.flat) > 0.0  # any alpha0 > 0, without a numpy reduction's cost
     boundary = ModelSpec(
         family="sde", dim=2, noise_dim=1 if noisy else 0,
-        drift=drift, diffusion=(lambda u, s=None: noise) if noisy else None,
-        additive_noise=noise if noisy else None,
+        drift=drift, additive_noise=noise if noisy else None,
         extinction_distance=lambda u, s=None: np.zeros(np.shape(u)[:-1]),
         name="lorenz-cylinder",
     )
@@ -80,9 +79,10 @@ def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
     """Lorenz bundle: 3-d SDE, exp-quadratic suite, cylinder companions."""
     for name, value, ok in (("gamma", gamma, gamma > 0), ("eta", eta, eta > 0),
                             ("z_star", z_star, True), ("alpha0", alpha0, alpha0 >= 0)):
-        if not (ok and math.isfinite(value)):  # a NaN fails both
-            raise NegativeParameter(f"{name} = {value!r}: need finite values, gamma, eta > 0 "
-                                    "and alpha0 >= 0")
+        if not math.isfinite(value):  # a NaN alpha0 would build a noise-free model
+            raise NonFiniteParameter(f"{name} = {value!r}: need finite values")
+        if not ok:
+            raise NegativeParameter(f"{name} = {value!r}: need gamma, eta > 0 and alpha0 >= 0")
     noisy = alpha0 > 0.0
     noise_col = np.array([[0.0], [0.0], [alpha0]])
 
@@ -96,8 +96,7 @@ def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
 
     model = ModelSpec(
         family="sde", dim=3, noise_dim=1 if noisy else 0,
-        drift=drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
-        additive_noise=noise_col if noisy else None,
+        drift=drift, additive_noise=noise_col if noisy else None,
         extinction_distance=lambda u, s=None: np.sqrt(
             np.asarray(u)[..., 0] ** 2 + np.asarray(u)[..., 1] ** 2),
         name="lorenz",
@@ -129,24 +128,24 @@ def make_lorenz(gamma: float = 1.0, z_star: float = 0.5, eta: float = 1.0,
     # full blow-up (theta, R, z) on its cylinder (theta, z): dR = -R H dt, and
     # the z rate adds the R^2 term of -x(x + eta y)
     def bl_drift(u, s=None):
-        th, r, cyl = u[..., 0], u[..., 1], u[..., ::2]
-        out = np.empty(u.shape)
-        out[..., ::2] = boundary.drift(cyl)
-        out[..., 1] = r * -boundary_H(cyl)
+        th, r, _ = u.T
+        cyl = u[..., ::2]
+        d_th, d_z = boundary.drift(cyl).T
         st = np.sin(th)
-        out[..., 2] -= r * r * st * (st + eta * (np.cos(th) - st))
-        return out
+        return np.array([
+            d_th,
+            r * -boundary_H(cyl),
+            d_z - r * r * st * (st + eta * (np.cos(th) - st)),
+        ]).T
 
     def bl_project(u, s=None):
-        out = np.array(u, dtype=float)
-        out[..., 0] = _remainder(u[..., 0], 2.0 * math.pi)
-        np.copyto(out[..., 1], 0.0, where=u[..., 1] < 0.0)  # max(r, 0.0): keeps -0.0 and NaN
-        return out
+        th, r, z = u.T
+        # r clamped as max(r, 0.0) does, which keeps -0.0 and NaN
+        return np.array([_remainder(th, 2.0 * math.pi), np.where(r < 0.0, 0.0, r), z]).T
 
     blowup = ModelSpec(
         family="sde", dim=3, noise_dim=1 if noisy else 0,
-        drift=bl_drift, diffusion=(lambda u, s=None: noise_col) if noisy else None,
-        additive_noise=noise_col if noisy else None,
+        drift=bl_drift, additive_noise=noise_col if noisy else None,
         domain_projection=bl_project,
         extinction_distance=lambda u, s=None: np.abs(np.asarray(u)[..., 1]),
         name="lorenz-blowup",

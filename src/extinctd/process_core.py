@@ -9,11 +9,17 @@ array).  Functions written with ``axis=-1`` reductions work in both shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRateMatrix, MissingField, UnknownModel
+from .errors import (
+    DimensionMismatch,
+    InvalidRateMatrix,
+    MissingField,
+    UnknownModel,
+)
 
 RATE_ROW_TOL = 1e-12
 
@@ -138,7 +144,9 @@ def validate_rate_matrix(q, n_regimes=None) -> np.ndarray:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidRateMatrix("rate matrix must be square")
     if n_regimes is not None and q.shape[0] != n_regimes:
-        raise InvalidRateMatrix(f"rate matrix is {q.shape[0]}x{q.shape[0]}, expected {n_regimes}")
+        raise InvalidRateMatrix(
+            f"rate matrix is {q.shape[0]}x{q.shape[0]}, expected {n_regimes}"
+        )
     off = q - np.diag(np.diag(q))
     if off.min(initial=0.0) < 0:
         raise InvalidRateMatrix("off-diagonal rates must be nonnegative")
@@ -150,6 +158,10 @@ def validate_rate_matrix(q, n_regimes=None) -> np.ndarray:
 
 def _identity_projection(x, s):
     return x
+
+
+def _constant_diffusion(G, x, s=None):
+    return G
 
 
 def _matvec(a, x):
@@ -186,11 +198,11 @@ class ModelSpec:
     state or a block and for every regime form above; a noisy Euler-Maruyama
     step then calls it once in place of the two callbacks, so a model can
     share the work they have in common.
-    A diffusion with ``diffusion`` may also set ``additive_noise``, the
-    constant G that ``diffusion(x, s)`` returns bit for bit for every state
-    and regime, ``(dim, noise_dim)`` or, for a lane spec whose row i has its
-    own G, ``(n, dim, noise_dim)``; a block without a regime clock then
-    forms G dW once for each chunk of increments, not once per step.
+    A diffusion may set ``additive_noise`` in place of ``diffusion``: a
+    constant G, ``(dim, noise_dim)`` or, for a lane spec whose row i has its
+    own G, ``(n, dim, noise_dim)``.  ``diffusion`` is then filled in as the
+    callback that returns G, and a block without a regime clock forms G dW
+    once for each chunk of increments, not once per step.
     ``noise_sampler(gen)`` returns one draw; ``noise_sampler(gen, size)``
     returns ``size`` draws stacked on a leading axis, equal to ``size``
     single draws and leaving ``gen`` in the same state, as a numpy
@@ -218,6 +230,17 @@ class ModelSpec:
             raise UnknownModel(f"unknown model family {self.family!r}")
         if self.dim < 1:
             raise DimensionMismatch("dim must be a positive integer")
+        G, diffusion = self.additive_noise, self.diffusion
+        if G is not None:
+            if self.family == "discrete_chain" or self.diffusion_diag is not None:
+                raise MissingField("additive_noise is a diffusion's G, beside no diffusion_diag")
+            if np.shape(G)[-2:] != (self.dim, self.noise_dim):
+                raise DimensionMismatch("additive_noise must end in (dim, noise_dim) axes")
+            if diffusion is None:  # one source: diffusion(x, s) returns G itself
+                object.__setattr__(self, "diffusion", partial(_constant_diffusion, G))
+            elif not (getattr(diffusion, "func", None) is _constant_diffusion
+                      and diffusion.args[0] is G):  # as dataclasses.replace hands it back
+                raise MissingField("set additive_noise or diffusion, not both")
         if self.family in ("sde", "switching_diffusion"):
             if self.drift is None:
                 raise MissingField(f"{self.family} requires drift")
@@ -243,11 +266,6 @@ class ModelSpec:
                     or self.diffusion_diag is not None or self.coefficients is not None):
                 raise MissingField("drift/diffusion/diffusion_diag/coefficients are "
                                    "diffusion-only fields")
-        if self.additive_noise is not None:  # a chain has no diffusion, so none either
-            if self.diffusion is None or self.diffusion_diag is not None:
-                raise MissingField("additive_noise requires diffusion, not diffusion_diag")
-            if np.shape(self.additive_noise)[-2:] != (self.dim, self.noise_dim):
-                raise DimensionMismatch("additive_noise must end in (dim, noise_dim) axes")
 
 
 def distance_to_extinction(model: ModelSpec, state: StateVector) -> float:

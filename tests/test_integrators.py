@@ -585,18 +585,20 @@ def test_a_switching_lane_keeps_no_jump_after_its_floor_row(monkeypatch, below):
 
 # -- constant additive noise: G dw formed once per chunk ---------------------------
 
-def _counting_diffusion(spec, calls):
-    """``spec`` with a diffusion that appends to ``calls`` on every call."""
-    diffusion = spec.diffusion
-    return dataclasses.replace(spec, diffusion=lambda x, s=None: calls.append(1) or diffusion(x, s))
+def _counting_advance(monkeypatch):
+    """Calls of ``integrators._advance``, the step that calls diffusion."""
+    import extinctd.integrators as integrators
+
+    calls, advance = [], integrators._advance
+    monkeypatch.setattr(integrators, "_advance", lambda *a: calls.append(1) or advance(*a))
+    return calls
 
 
-def _assert_additive_noise_keeps_the_paths(spec, replicas, cfg, one_lane=True):
+def _assert_additive_noise_keeps_the_paths(monkeypatch, spec, replicas, cfg, one_lane=True):
     """``spec`` steps each replica alone (if ``one_lane``) and all of them as
     a block with the paths it gives without ``additive_noise``, and never
-    calls its diffusion to do so."""
-    calls = []
-    spec = _counting_diffusion(spec, calls)
+    steps through diffusion to do so."""
+    calls = _counting_advance(monkeypatch)
     want = simulate_lanes(dataclasses.replace(spec, additive_noise=None), replicas, cfg)
     assert calls  # the plain steps call diffusion
     calls.clear()
@@ -608,16 +610,17 @@ def _assert_additive_noise_keeps_the_paths(spec, replicas, cfg, one_lane=True):
 
 
 @pytest.mark.parametrize("name", ["model", "boundary", "blowup"])
-def test_additive_noise_steps_one_lane_and_a_block_as_diffusion_does(lorenz_noisy, name):
+def test_additive_noise_steps_one_lane_and_a_block_as_diffusion_does(monkeypatch, lorenz_noisy,
+                                                                     name):
     spec = getattr(lorenz_noisy, name)
     ic = {"model": lorenz_noisy.default_ic, "boundary": lorenz_noisy.boundary_ic,
           "blowup": StateVector(np.array([0.9, 0.3, 0.5]))}[name]
     assert spec.additive_noise is not None
-    _assert_additive_noise_keeps_the_paths(spec, replica_streams([ic], 3, 12),
+    _assert_additive_noise_keeps_the_paths(monkeypatch, spec, replica_streams([ic], 3, 12),
                                            SimConfig(dt=0.01, t_final=5.0))
 
 
-def test_additive_noise_of_lanes_gives_each_lane_its_own_noise():
+def test_additive_noise_of_lanes_gives_each_lane_its_own_noise(monkeypatch):
     # per-lane G rows from lorenz_cylinder; the alpha0 = 0 lane stays noise-free
     from extinctd.models import lorenz_cylinder
 
@@ -625,35 +628,37 @@ def test_additive_noise_of_lanes_gives_each_lane_its_own_noise():
     assert lanes.additive_noise.shape == (3, 2, 1)
     cfg = SimConfig(dt=0.01, t_final=5.0)
     replicas = replica_streams([StateVector(np.array([0.9, 1.5]))], 3, 2)
-    paths = _assert_additive_noise_keeps_the_paths(lanes, replicas, cfg, one_lane=False)
+    paths = _assert_additive_noise_keeps_the_paths(monkeypatch, lanes, replicas, cfg,
+                                                   one_lane=False)
     quiet = lorenz_cylinder(1.0, 1.5, 0.0)[0]
     _assert_same_paths(paths[1:2], [simulate(quiet, replicas[1][1], cfg, replicas[1][2])])
     assert (paths[1].states[:, 1] == 1.5).all()  # z stays at z* = 1.5 without noise
     assert all(np.ptp(paths[i].states[:, 1]) > 0.0 for i in (0, 2))
 
 
-def test_additive_noise_crosses_the_chunk_edge_into_a_short_last_chunk(lorenz_noisy):
+def test_additive_noise_crosses_the_chunk_edge_into_a_short_last_chunk(monkeypatch,
+                                                                       lorenz_noisy):
     n_steps = _CHUNK + 100
     cfg = SimConfig(dt=0.01, t_final=n_steps * 0.01)
     replicas = replica_streams([lorenz_noisy.boundary_ic], 3, 3)
-    want = _assert_additive_noise_keeps_the_paths(lorenz_noisy.boundary, replicas, cfg)
+    want = _assert_additive_noise_keeps_the_paths(monkeypatch, lorenz_noisy.boundary, replicas, cfg)
     assert [len(t.times) for t in want] == [n_steps + 1] * 3
 
 
 def _additive_ramp(below):
     """``ramp_model(below)`` driven by a small additive noise in place of its zero diagonal."""
     G = np.array([[1e-3]])
-    return dataclasses.replace(ramp_model(below), diffusion_diag=None,
-                               diffusion=lambda x, s: G, additive_noise=G)
+    return dataclasses.replace(ramp_model(below), diffusion_diag=None, additive_noise=G)
 
 
-def test_additive_noise_lanes_stop_at_their_floor_rows():
+def test_additive_noise_lanes_stop_at_their_floor_rows(monkeypatch):
     # floor rows 30 (mid-window), 70 and 4100 (past the chunk edge); past its
     # row a lane climbs back above the floor
     cfg = SimConfig(dt=1.0, t_final=4200.0, floor_epsilon=1.0)
     rows = [30, 4100, 70]
     replicas = replica_streams([StateVector(np.array([g + 0.5])) for g in rows], 1, 7)
-    want = _assert_additive_noise_keeps_the_paths(_additive_ramp("rise"), replicas, cfg)
+    want = _assert_additive_noise_keeps_the_paths(monkeypatch, _additive_ramp("rise"), replicas,
+                                                  cfg)
     assert [len(t.times) - 1 for t in want] == rows
 
 
@@ -661,15 +666,15 @@ def test_additive_noise_names_the_same_non_finite_step_time_and_replica():
     # no floor: the drift turns NaN once x < 0, and the noise decides the step
     G = np.array([[0.5]])
     spec = ModelSpec(family="sde", dim=1, noise_dim=1,
-                     drift=lambda x, s: np.where(x < 0.0, np.nan, -1.0),
-                     diffusion=lambda x, s: G, additive_noise=G,
+                     drift=lambda x, s: np.where(x < 0.0, np.nan, -1.0), additive_noise=G,
                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
     cfg = SimConfig(dt=0.25, t_final=200.0)
     replicas = replica_streams([StateVector(np.array([x])) for x in (10.5, 100.5, 3.5)], 1, 5)
 
     def failures(m):  # alone, then in blocks whose lowest lane fails
         runs = [lambda ic=ic, rng=rng: simulate(m, ic, cfg, rng) for _, ic, rng in replicas]
-        runs += [lambda reps=reps: simulate_lanes(m, reps, cfg) for reps in (replicas, replicas[1:])]
+        runs += [lambda reps=reps: simulate_lanes(m, reps, cfg)
+                 for reps in (replicas, replicas[1:])]
         got = []
         for run in runs:
             with pytest.raises(NonFiniteState) as info:
@@ -689,11 +694,9 @@ def test_a_regime_clock_keeps_calling_diffusion_with_additive_noise(monkeypatch)
     import extinctd.integrators as integrators
 
     monkeypatch.setattr(integrators, "_TIME_GUARD", 0.3)
-    G = np.array([[0.3]])
-    calls = []
-    spec = _counting_diffusion(dataclasses.replace(
-        fast_switching_model(), diffusion_diag=None, diffusion=lambda x, s: G,
-        additive_noise=G), calls)
+    calls = _counting_advance(monkeypatch)
+    spec = dataclasses.replace(fast_switching_model(), diffusion_diag=None,
+                               additive_noise=np.array([[0.3]]))
     cfg = SimConfig(dt=0.02, t_final=4.0, max_rate_bound=200.0)
     replicas = replica_streams([StateVector(np.array([1.0]), 0)], 2, 9)
     counts, paths = [], []

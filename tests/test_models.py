@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from extinctd.errors import (DimensionMismatch, InvalidAdjacency, MissingField,
-                             NegativeParameter, NegativeRate, NonPositiveF)
+                             NegativeParameter, NegativeRate, NonFiniteParameter,
+                             NonPositiveF)
 from extinctd.integrators import SimConfig, simulate, simulate_lanes
 from extinctd.lyapunov import generator_apply, qv_residual, dynkin_residual
 from extinctd.process_core import ModelSpec, RngStream, StateVector, replica_streams
@@ -139,11 +140,13 @@ def test_lorenz_quadruple_intertwining(lorenz_noisy):
 def test_lorenz_rejects_bad_parameters():
     # a NaN alpha0 once built a noise-free model, as nan > 0 is false
     for name, value in [("gamma", -1.0), ("gamma", 0.0), ("gamma", math.nan),
-                        ("gamma", math.inf), ("eta", -1.0), ("eta", math.nan), ("eta", math.inf),
-                        ("z_star", math.nan), ("z_star", math.inf), ("z_star", -math.inf),
-                        ("alpha0", -0.1), ("alpha0", math.nan), ("alpha0", math.inf)]:
+                        ("gamma", math.inf), ("gamma", -math.inf), ("eta", -1.0),
+                        ("eta", math.nan), ("eta", math.inf), ("z_star", math.nan),
+                        ("z_star", math.inf), ("z_star", -math.inf), ("alpha0", -0.1),
+                        ("alpha0", math.nan), ("alpha0", math.inf)]:
         params = {"gamma": 1.0, "z_star": 0.5, "eta": 1.0, "alpha0": 0.0, name: value}
-        with pytest.raises(NegativeParameter, match=f"^{name} = {value!r}:"):
+        error = NegativeParameter if math.isfinite(value) else NonFiniteParameter
+        with pytest.raises(error, match=f"^{name} = {value!r}:"):
             make_lorenz(**params)
 
 
@@ -699,56 +702,32 @@ def test_model_spec_takes_coefficients_only_beside_diffusion_diag():
                   diffusion_diag=lambda x, s=None: 0.1 * x, extinction_distance=dist)
 
 
-def test_model_spec_takes_additive_noise_only_beside_diffusion():
+def test_model_spec_fills_diffusion_from_additive_noise():
     dist = lambda x, s=None: np.abs(x[..., 0])
-    G = np.array([[0.0], [0.3]])
     sde = dict(family="sde", dim=2, noise_dim=1, drift=lambda x, s=None: -x,
                extinction_distance=dist)
     for shape in ((2, 1), (5, 2, 1)):
-        spec = ModelSpec(**sde, diffusion=lambda x, s=None: G, additive_noise=np.zeros(shape))
+        G = np.zeros(shape)
+        spec = ModelSpec(**sde, additive_noise=G)
+        assert spec.diffusion(np.ones(2)) is G and spec.diffusion(np.ones((5, 2)), 0) is G
         assert spec == dataclasses.replace(spec) and hash(spec) == hash(dataclasses.replace(spec))
-    with pytest.raises(MissingField, match="additive_noise"):
-        ModelSpec(**dict(sde, noise_dim=0), additive_noise=np.zeros((2, 0)))
-    for noise in ({"diffusion_diag": lambda x, s=None: 0.3 * x},
-                  {"diffusion_diag": lambda x, s=None: 0.3 * x, "diffusion": lambda x, s=None: G}):
+        plain = dataclasses.replace(spec, additive_noise=None)  # keeps the diffusion that returns G
+        assert plain.additive_noise is None and plain.diffusion(np.ones(2)) is G
+    with pytest.raises(MissingField, match="not both"):
+        ModelSpec(**sde, diffusion=lambda x, s=None: G, additive_noise=G)
+    with pytest.raises(MissingField, match="not both"):  # the diffusion of another G
+        dataclasses.replace(spec, additive_noise=np.zeros((5, 2, 1)))
+    for noise in ({}, {"diffusion": lambda x, s=None: G}):
         with pytest.raises(MissingField, match="diffusion_diag"):
-            ModelSpec(**dict(sde, noise_dim=2), **noise, additive_noise=np.zeros((2, 2)))
+            ModelSpec(**dict(sde, noise_dim=2), **noise, additive_noise=np.zeros((2, 2)),
+                      diffusion_diag=lambda x, s=None: 0.3 * x)
     with pytest.raises(MissingField, match="additive_noise"):
         ModelSpec(family="discrete_chain", dim=1, step_map=lambda x, xi: x * xi,
                   noise_sampler=lambda gen, size=None: gen.uniform(size=size),
                   additive_noise=np.zeros((1, 0)), extinction_distance=dist)
     for shape in ((1, 2), (2, 2), (2,), (5, 1, 2), (5, 3, 1)):
         with pytest.raises(DimensionMismatch, match="additive_noise"):
-            ModelSpec(**sde, diffusion=lambda x, s=None: G, additive_noise=np.zeros(shape))
-
-
-def test_every_shipped_additive_noise_is_what_diffusion_returns():
-    # a block without a regime clock forms G dw from additive_noise, so it
-    # must be diffusion's value, bit for bit, on one state and on a block;
-    # the specs: every registered one, a noise-free Lorenz, and Lorenz lanes
-    from extinctd.process_core import make_bundle, registered_models
-
-    bundles = [make_bundle(name, REGISTERED_PARAMS[name]) for name in registered_models()]
-    bundles.append(make_lorenz(0.7, 1.5, 1.3, 0.0))
-    specs = [s for b in bundles for s in (b.model, b.boundary, b.blowup)]
-    specs += [b.boundary_lanes(p, v) for b in bundles if b.boundary_lanes is not None
-              for p, v in (("alpha0", [0.05, 0.0, 0.3]), ("gamma", [0.5, 1.0, 2.0]))]
-    specs = [spec for spec in specs if spec is not None and spec.additive_noise is not None]
-    # the noisy Lorenz specs and lanes; a lane spec is noisy if any alpha0 > 0
-    assert sorted(spec.name for spec in specs) == ["lorenz", "lorenz-blowup"] + [
-        "lorenz-cylinder"] * 4
-    gen = np.random.default_rng(3)
-    for spec in specs:
-        G = spec.additive_noise
-        block = gen.uniform(-4.0, 4.0, size=(3, spec.dim))
-        block[0] = -0.0
-        forms = [block] if G.ndim == 3 else [block] + list(block)  # lanes come as a block
-        for u in forms:
-            g = spec.diffusion(u)
-            assert np.shape(g) in ((spec.dim, spec.noise_dim), u.shape[:-1] + G.shape[-2:])
-            assert _bits(np.broadcast_to(g, G.shape)) == _bits(G), spec.name
-    lanes = [spec for spec in specs if spec.additive_noise.ndim == 3]
-    assert [spec.additive_noise[:, 1, 0].tolist() for spec in lanes] == [[0.05, 0.0, 0.3]] * 2
+            ModelSpec(**sde, additive_noise=np.zeros(shape))
 
 
 def test_sis_steps_its_paths_bit_for_bit_with_or_without_the_fused_callback():
