@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -64,6 +64,10 @@ class ExperimentConfig:
     replicas: int = 1
     ics: Optional[list] = None  # list of {"x": [...], "regime": int|None}
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise MissingField("replicas must be >= 1")
 
     def sim_config(self) -> SimConfig:
         return SimConfig(**self.sim)
@@ -121,16 +125,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(sim, _SIM_KEYS, "sim")
     options = dict(raw.get("options", {}))
     _require_keys(options, _OPTION_KEYS, "options")
-    replicas = int(raw.get("replicas", 1))
-    if replicas < 1:
-        raise MissingField("replicas must be >= 1")
     ics = raw.get("ics")
     cfg = ExperimentConfig(
         model_name=model["name"],
         model_params=dict(model.get("params", {})),
         experiment=raw["experiment"],
         sim=sim,
-        replicas=replicas,
+        replicas=int(raw.get("replicas", 1)),
         seed=int(raw["seed"]),
         ics=None if ics is None else _normalize_ics(ics),
         output=str(raw["output"]),
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output = args.out
         if args.replicas is not None:
-            cfg.replicas = max(1, args.replicas)
+            cfg = replace(cfg, replicas=args.replicas)
         run_experiment(cfg)
         print(os.path.join(cfg.output, "report.json"))
         return 0

@@ -4,7 +4,8 @@ There is one path kernel: ``simulate_lanes`` steps a run's replicas together
 in blocks, each replica drawing from its own generator, and ``simulate`` is a
 block of one lane, so both give a replica the same path bit for bit.  For a
 model with a constant ``additive_noise`` G, a block without a regime clock
-forms G dW once per chunk of steps.
+forms G dW once per chunk of steps.  Every failure is a lane's, raised in
+replica order by one rule (see ``simulate_lanes``).
 
 Grid convention: diffusion paths are recorded on the uniform dt grid, with an
 extra point inserted at every regime jump time so trajectories carry the exact
@@ -75,6 +76,12 @@ def _advance(model: ModelSpec, x, s, h, dw):
 def _additive(model: ModelSpec, x, s, h, gdw):
     """``_advance`` for a model with ``additive_noise`` G, given gdw = G dw."""
     return model.domain_projection(x + model.drift(x, s) * h + gdw, s)
+
+
+def _transition(model: ModelSpec, x, s, h, xi):
+    """One chain transition of a state or a block of them with draws xi, in
+    ``_advance``'s arguments (h unused), so the engine steps either kernel."""
+    return model.domain_projection(np.asarray(model.step_map(x, xi), dtype=float), s)
 
 
 def em_step(model: ModelSpec, state: StateVector, dt: float, noise=None) -> StateVector:
@@ -161,9 +168,7 @@ def discrete_step(model: ModelSpec, state: StateVector, rng) -> StateVector:
     if model.family != "discrete_chain":
         raise ValueError("discrete_step requires a discrete chain")
     gen = as_generator(rng)
-    xi = model.noise_sampler(gen)
-    xn = model.domain_projection(np.asarray(model.step_map(state.x, xi), dtype=float),
-                                 state.regime)
+    xn = _transition(model, state.x, state.regime, 1.0, model.noise_sampler(gen))
     _check_finite(xn)
     return StateVector(xn, state.regime)
 
@@ -225,9 +230,10 @@ def simulate(model: ModelSpec, x0: StateVector, cfg: SimConfig, rng) -> Trajecto
     continuous-time embedding).  Every family runs as a block of one lane of
     the ``simulate_lanes`` engine.  Equal (seed, stream_id, model, dt,
     t_final) reproduce bit-identical trajectories.  ``NonFiniteState``,
-    ``RateBoundViolated`` and a toolkit error raised by a chain's
-    ``step_map`` name the step and time, and the replica when ``rng`` is an
-    ``RngStream``.
+    ``RateBoundViolated`` and a toolkit error that a model callback raises in
+    a step (``drift``, ``step_map``, ``switch_rates`` in a jump step, ...)
+    name the step and time; a toolkit error names the replica when ``rng``
+    is an ``RngStream``.
     """
     _check_dim(model, x0)
     return next(_simulate_block(model, [(0, x0, rng)], cfg))
@@ -242,6 +248,14 @@ def _name_replica(exc, rng):
     if isinstance(rng, RngStream) and isinstance(exc, ExtinctdError):
         # the replica rule makes stream_id the replica
         exc.args = (f"replica {rng.stream_id}: {exc}",)
+
+
+def _name_step(exc, k, t):
+    """exc, raised in step k, which ends at time t: a toolkit error names the
+    step, as a broken rate bound does already."""
+    if isinstance(exc, ExtinctdError) and not isinstance(exc, RateBoundViolated):
+        exc.args = (f"{exc} at step {k}, t = {t!r}",)
+    return exc
 
 
 def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> list:
@@ -268,7 +282,12 @@ def simulate_lanes(model: ModelSpec, replicas, cfg: SimConfig, reduce=None) -> l
     and one path at a time.
     A failure is raised for the lowest replica that fails, after the paths
     of the replicas below it are reduced, as running the replicas one after
-    another would.
+    another would: if a block step raises, the floor check runs and each
+    live lane takes the step alone, up to the first that raises.  That
+    error, a jump step's, a non-finite state, or one of ``switch_rates(x0)``
+    setting a lane's rate bound fails its lane and stops the lanes above it,
+    whose rows the model then no longer sees; an error past a floor row
+    leaves no trace.
     """
     keep = (lambda traj: traj) if reduce is None else reduce
     for _, ic, _ in replicas:
@@ -293,10 +312,18 @@ def _simulate_block(model, replicas, cfg: SimConfig):
     chain = model.family == "discrete_chain"
     if chain:  # one time unit per step, and no regime
         n_steps, dt, nd = int(round(cfg.t_final)), 1.0, 0
-        clocks = [(None, 0.0)] * n
     else:
         n_steps, dt, nd = _step_count(cfg), cfg.dt, model.noise_dim
-        clocks = [_clock(model, ic, cfg) for _, ic, _ in replicas]
+    clocks, failed = [], None  # failed: (lane, exception) of the lowest lane that failed
+    for _, ic, _ in replicas:
+        try:
+            clocks.append((None, 0.0) if chain else _clock(model, ic, cfg))
+        except Exception as exc:  # its lane fails before step 0
+            failed = (len(clocks), exc)
+            break
+    n_alive = len(clocks)  # no lane from a failed one steps
+    alive = np.arange(n) < n_alive
+    clocks += [(0, 0.0)] * (n - n_alive)
     gens = [as_generator(rng) for _, _, rng in replicas]
     lams = [lam for _, lam in clocks]
     thin = [i for i in range(n) if lams[i] > 0.0]
@@ -305,10 +332,12 @@ def _simulate_block(model, replicas, cfg: SimConfig):
     S = None if all(s is None for s in starts) else np.array(
         [0 if s is None else s for s in starts], dtype=np.int64)
     X = np.array([ic.x for _, ic, _ in replicas])
+    if failed is not None:  # lanes that never step copy lane 0's start, as failed lanes do
+        X[n_alive:], S[n_alive:] = X[0], S[0]
     h, sq = np.array(dt), math.sqrt(dt)  # a 0-d h multiplies a block faster than a float
     # constant noise without a regime clock: each chunk's G dw is formed at once
     G = model.additive_noise if nd > 0 and not thin else None
-    advance = step = _advance if G is None else _additive
+    advance = step = _transition if chain else _advance if G is None else _additive
     if n == 1:
         # a lone lane calls the model on its 1-d row, with the bits of its
         # block row (a contract of every callback) at less cost per step
@@ -316,13 +345,10 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             return step(model, X[0], None if S is None else int(S[0]), h,
                         None if dw is None else dw[0])[None]
 
-    alive = np.ones(n, dtype=bool)
-    watch = model.extinction_distance(X, S) > cfg.floor_epsilon  # alive lanes the floor can stop
-    n_alive = n
+    watch = alive & (model.extinction_distance(X, S) > cfg.floor_epsilon)  # lanes the floor can stop
     last = [n_steps] * n  # grid index of each lane's final point
     inserted = [[] for _ in range(n)]  # (grid index it precedes, t, x, s)
     folded = [[] for _ in range(n)]  # grid indices carrying a folded jump
-    failed = None  # (lane, exception) of the lowest lane that failed
     xs = [np.empty((min(_CHUNK, n_steps + 1), n, dim))]  # fewer rows if the run is shorter
     xs[0][0] = X
     ss = None if S is None else [np.empty((len(xs[0]), n), dtype=np.int64)]
@@ -335,7 +361,7 @@ def _simulate_block(model, replicas, cfg: SimConfig):
         nonlocal seen, n_alive
         a, seen = seen + 1, g
         if g < a or not watch.any():
-            return False
+            return
         rows, regs = _rows(xs, a, g + 1), None if ss is None else _rows(ss, a, g + 1)
         d = model.extinction_distance(rows.reshape(-1, dim), None if regs is None else regs.ravel())
         hit = (np.reshape(d, rows.shape[:2]) < cfg.floor_epsilon) & watch
@@ -349,22 +375,21 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             folded[i] = [q for q in folded[i] if q <= f]
         alive[stop] = watch[stop] = False
         n_alive = int(alive.sum())
-        return stop.size > 0
 
     for k in range(n_steps):
+        if n_alive == 0:
+            break
         r = k % _CHUNK
         if r == 0:  # each live lane draws its next chunks from its own generator
             live = np.flatnonzero(alive).tolist()
             # never more than the steps left, but whole chunks on a regime
             # clock, whose counts follow a chunk of normals in each stream
             size = _CHUNK if thin else min(_CHUNK, n_steps - k)
+            zb = dwb = None  # the last chunk's normals and noise go before the next is drawn
             if chain:
-                xib = _chain_noise(model, gens, live, n, size)
-            if nd > 0:
-                zb = dwb = None  # the last chunk's arrays go before the next is drawn
-                zb = np.zeros((size, n, nd))
-                for i in live:
-                    zb[:, i] = gens[i].standard_normal((size, nd))
+                dwb = _lane_draws(model.noise_sampler, gens, live, n, size)
+            elif nd > 0:
+                zb = _lane_draws(lambda gen, m: gen.standard_normal((m, nd)), gens, live, n, size)
                 dwb = zb * sq if thin else np.multiply(zb, sq, out=zb)  # split steps need zb
                 if G is not None:  # by the kernel of one step's G dw; only G dw is kept
                     zb, dwb = None, _matvec(G, dwb)
@@ -375,21 +400,21 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                         cb[:, i] = gens[i].poisson(lams[i] * dt, size)
                 fired = cb.any(axis=1).tolist()
         t1 = (k + 1) * dt
-        if chain:
-            xn, bad = _chain_step(model, X, xib[r], alive, k, t1)
-            if bad and settle(k):  # lanes the floor stopped take no step k: step again
-                xn, bad = _chain_step(model, X, xib[r], alive, k, t1)
-        else:
-            dw = dwb[r] if nd > 0 else None
-            try:
-                xn = advance(model, X, S, h, dw)
-            except Exception:
-                if not settle(k):
-                    raise
-                if n_alive == 0:
+        dw = None if dwb is None else dwb[r]
+        try:
+            xn, bad = advance(model, X, S, h, dw), []
+        except Exception:  # a lane's error: past the floor, each live lane steps alone
+            settle(k)
+            xn, bad = X.copy(), []
+            for i in np.flatnonzero(alive).tolist():
+                if thin and cb[r, i]:
+                    continue  # its jump step, below, takes it
+                try:
+                    xn[i] = step(model, X[i], None if S is None else int(S[i]), h,
+                                 None if dw is None else dw[i])
+                except Exception as exc:
+                    bad.append((i, _name_step(exc, k, t1)))
                     break
-                xn = advance(model, X, S, h, dw)  # from the floor rows, as the lanes stopped
-            bad = []
         if thin and fired[r]:
             for i in np.flatnonzero(cb[r]).tolist():
                 if not alive[i]:
@@ -400,13 +425,9 @@ def _simulate_block(model, replicas, cfg: SimConfig):
                         model, X[i], int(S[i]), k, dt, zb[r, i] if nd > 0 else None,
                         gens[i], lams[i], cb[r, i],
                         lambda t, xj, sj, pts=pts, g=k + 1: pts.append((g, t, xj, sj)))
-                except RateBoundViolated as exc:
-                    bad.append((i, exc))
+                except Exception as exc:
+                    bad.append((i, _name_step(exc, k, t1)))
                     continue
-                except Exception:
-                    if settle(k) and not alive[i]:
-                        continue
-                    raise
                 if pending:
                     folded[i].append(k + 1)
         if n_alive < n:
@@ -422,15 +443,16 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             settle(k)
             bad = [e for e in bad if alive[e[0]]]
             np.copyto(xn, X, where=~alive[:, None])
-        if bad:
-            lane, exc = min(bad, key=lambda e: e[0])
-            if failed is None or lane < failed[0]:
-                failed = (lane, exc)
-            # serial order would never run the lanes after a failed one
-            alive[lane:] = False
-            watch &= alive
+        if bad:  # every live lane is below the lanes that failed before
+            failed = min(bad, key=lambda e: e[0])
+            lane = failed[0]
+            # serial order would never run the lanes from it on; their rows,
+            # never read again, take lane 0's, which the model sees anyway
+            alive[lane:] = watch[lane:] = False
             n_alive = int(alive.sum())
-            xn[lane:] = X[lane:]
+            xn[lane:] = xn[0]
+            if S is not None:
+                S[lane:] = S[0]
         X = xn
         g = k + 1
         if g % _CHUNK == 0:
@@ -442,8 +464,6 @@ def _simulate_block(model, replicas, cfg: SimConfig):
             ss[-1][g % _CHUNK] = S
         if g % _FLOOR_EVERY == 0 or g == n_steps:
             settle(g)
-        if n_alive == 0:
-            break
 
     # cut one lane's path at a time, so a reducing caller holds one path
     # beside the block record
@@ -458,12 +478,12 @@ def _simulate_block(model, replicas, cfg: SimConfig):
     return paths()
 
 
-def _chain_noise(model, gens, live, n, size):
-    """A (size, n, ...) block of chain noise: each live lane's next ``size``
-    draws of ``noise_sampler`` from its own generator, zeros for the rest."""
+def _lane_draws(sample, gens, live, n, size):
+    """A (size, n, ...) block of draws: each live lane's next ``size`` of
+    ``sample(gen, size)`` from its own generator, zeros for the rest."""
     block = None
     for i in live:
-        draws = np.asarray(model.noise_sampler(gens[i], size))
+        draws = np.asarray(sample(gens[i], size))
         if draws.shape[:1] != (size,):
             raise ValueError(f"noise_sampler(gen, {size}) gave shape {draws.shape}, "
                              f"not {size} draws on a leading axis")
@@ -471,28 +491,6 @@ def _chain_noise(model, gens, live, n, size):
             block = np.zeros((size, n) + draws.shape[1:], dtype=draws.dtype)
         block[:, i] = draws
     return block
-
-
-def _chain_step(model, X, xi, alive, k, t):
-    """Chain step k (ending at time t) of block X with per-lane noise xi.
-    Returns (next block, failures): if the block step raises, the live lanes
-    step one at a time, as they would alone, up to the first that raises; its
-    (lane, exception) is the failure, and the lanes from it on keep X."""
-    def one(x, e):
-        return model.domain_projection(np.asarray(model.step_map(x, e), dtype=float), None)
-
-    try:
-        return one(X, xi), []
-    except Exception:  # any error is the failing lane's, raised in replica order
-        xn = X.copy()
-        for i in np.flatnonzero(alive).tolist():
-            try:
-                xn[i] = one(X[i], xi[i])
-            except Exception as exc:
-                if isinstance(exc, ExtinctdError):
-                    exc.args = (f"{exc} at step {k}, t = {t!r}",)
-                return xn, [(i, exc)]
-        return xn, []  # only stopped lanes raised
 
 
 def _rows(chunks, a, b, lanes=slice(None)):
@@ -538,8 +536,7 @@ def poissonize(chain: ModelSpec, x0: StateVector, rng, t_final: float) -> Trajec
         t += gen.exponential()
         if t >= t_final:
             break
-        xi = chain.noise_sampler(gen)
-        x = chain.domain_projection(np.asarray(chain.step_map(x, xi), dtype=float), None)
+        x = _transition(chain, x, None, 1.0, chain.noise_sampler(gen))
         _check_finite(x)
         jumps.append(len(times))
         times.append(t)

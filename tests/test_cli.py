@@ -424,6 +424,15 @@ def test_cli_main_run_and_overrides(tmp_path, capsys):
     assert "sis" in out and "lorenz" in out
 
 
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_replica(tmp_path, capsys, replicas):
+    # the override used to be clamped to 1 without a word
+    path = write_config(tmp_path, sis_config(tmp_path / "out"))
+    assert main(["run", path, "--replicas", replicas]) == 1
+    assert capsys.readouterr().err == "error: replicas must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     raw = sis_config(tmp_path / "out")
     del raw["seed"]

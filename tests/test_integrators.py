@@ -261,6 +261,16 @@ def _serial_failure(model, replicas, cfg, exc_type):
     return str(info.value)
 
 
+def _assert_lanes_raise_the_serial_failure(model, replicas, cfg, exc_type):
+    """``simulate_lanes`` raises exactly the error that running the replicas
+    one after another raises; returns its message."""
+    message = _serial_failure(model, replicas, cfg, exc_type)
+    with pytest.raises(exc_type) as info:
+        simulate_lanes(model, replicas, cfg)
+    assert str(info.value) == message
+    return message
+
+
 def test_simulate_lanes_raises_the_failure_serial_order_would():
     # lane 3 blows up at step 2, lane 1 at step 4; replicas run one after
     # another raise lane 1's error, and so must the lockstep block
@@ -270,11 +280,8 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     cfg = SimConfig(dt=0.5, t_final=5.0)
     ics = [StateVector(np.array([x])) for x in (-100.0, 0.0, -100.0, 1.0)]
     replicas = replica_streams(ics, 1, 7)
-    message = _serial_failure(m, replicas, cfg, NonFiniteState)
+    message = _assert_lanes_raise_the_serial_failure(m, replicas, cfg, NonFiniteState)
     assert re.match(r"^replica 1: non-finite state at step 4, t = 2\.5\b", message)
-    with pytest.raises(NonFiniteState) as info:
-        simulate_lanes(m, replicas, cfg)
-    assert str(info.value) == message
 
     # the same rule for a rate bound that lane 3 breaks first
     q = np.array([[-0.5, 0.5], [0.5, -0.5]])
@@ -285,14 +292,106 @@ def test_simulate_lanes_raises_the_failure_serial_order_would():
     cfg = SimConfig(dt=0.01, t_final=50.0, max_rate_bound=1.0)
     ics = [StateVector(np.array([x]), 0) for x in (-1e6, -1.0, -1e6, 2.0)]
     replicas = replica_streams(ics, 1, 3)
-    message = _serial_failure(jumpy, replicas, cfg, RateBoundViolated)
+    message = _assert_lanes_raise_the_serial_failure(jumpy, replicas, cfg, RateBoundViolated)
     step = lambda text: int(re.search(r"in step (\d+) ", text).group(1))
     lane3 = _serial_failure(jumpy, replicas[3:], cfg, RateBoundViolated)
     assert message.startswith("replica 1: ") and lane3.startswith("replica 3: ")
     assert step(lane3) < step(message)
-    with pytest.raises(RateBoundViolated) as info:
-        simulate_lanes(jumpy, replicas, cfg)
-    assert str(info.value) == message
+
+    # a drift that raises for lane 1 from step 0, while lane 0 overflows at
+    # step 12: the block step raises, and the lanes step alone
+    raised = []
+
+    def drift(x, s):
+        if np.any(x >= 2.0):
+            raised.append(x)
+            raise ValueError("drift at x >= 2")
+        return -50.0 * x * x
+
+    m = ModelSpec(family="sde", dim=1, noise_dim=0, drift=drift,
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    replicas = replica_streams([StateVector(np.array([x])) for x in (-1.0, 2.0)], 1, 7)
+    with np.errstate(over="ignore"):
+        message = _assert_lanes_raise_the_serial_failure(
+            m, replicas, SimConfig(dt=0.01, t_final=5.0), NonFiniteState)
+    assert re.match(r"^replica 0: non-finite state at step 12, t = 0\.13\b", message)
+    # serial order never runs replica 1; in the block, the drift raises in
+    # step 0 and in lane 1's step alone, and then never sees lane 1's row
+    assert len(raised) == 2
+
+    # switch_rates raises for lane 3 (x > 5), in a jump step once its regime
+    # clock fires, or at set-up when the rate bound comes from x0; lane 1
+    # blows up at step 4
+    def rates(x):
+        if x[0] > 5.0:
+            raise ValueError("switch_rates at x > 5")
+        return q
+
+    seen = []
+
+    def drift(x, s):
+        seen.append(np.max(x))
+        return np.where((x >= 2.0) & (x < 5.0), np.inf, 1.0)
+
+    jumpy = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0, drift=drift,
+                      switch_rates=rates, n_regimes=2,
+                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    ics = [StateVector(np.array([x]), 0) for x in (-100.0, 0.0, -100.0, 10.0)]
+    replicas = replica_streams(ics, 1, 3)
+    for bound in (1.0, None):
+        seen.clear()
+        cfg = SimConfig(dt=0.5, t_final=5.0, max_rate_bound=bound)
+        with pytest.raises(ValueError, match="switch_rates"):
+            simulate(jumpy, replicas[3][1], cfg, replicas[3][2])
+        message = _assert_lanes_raise_the_serial_failure(jumpy, replicas, cfg, NonFiniteState)
+        assert re.match(r"^replica 1: non-finite state at step 4, t = 2\.5\b", message)
+    assert max(seen) < 5.0  # lane 3 never steps, and the drift never sees its row
+
+    # lane 1's drift raises at x0 and its rates break the bound there; its
+    # regime clock fires in step 0, so it takes that step by thinning, which
+    # raises the rate bound first, in its block as alone
+    def drift(x, s):
+        if np.any(x >= 2.0):
+            raise ValueError("drift at x >= 2")
+        return np.ones_like(x)
+
+    jumpy = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0, drift=drift,
+                      switch_rates=lambda x: q * (1.0 if x[0] < 2.0 else 10.0), n_regimes=2,
+                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    replicas = replica_streams([StateVector(np.array([x]), 0) for x in (-100.0, 2.0)], 1, 2)
+    cfg = SimConfig(dt=0.5, t_final=5.0, max_rate_bound=1.0)
+    message = _assert_lanes_raise_the_serial_failure(jumpy, replicas, cfg, RateBoundViolated)
+    assert message.startswith("replica 1: ") and step(message) == 0
+
+
+def test_a_toolkit_error_from_a_drift_names_its_replica_step_and_time():
+    # lane 3's drift raises at step 2 and lane 1's at step 4: the error is
+    # lane 1's, named by replica, step and time, alone as in a block
+    from extinctd.errors import NonPositiveF
+
+    def drift(x, s):
+        if np.any(x >= 2.0):
+            raise NonPositiveF("drift met x >= 2")
+        return np.ones_like(x)
+
+    m = ModelSpec(family="sde", dim=1, noise_dim=0, drift=drift,
+                  extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    replicas = replica_streams([StateVector(np.array([x])) for x in (-100.0, 0.0, -100.0, 1.0)],
+                               1, 7)
+    message = _assert_lanes_raise_the_serial_failure(m, replicas, SimConfig(dt=0.5, t_final=5.0),
+                                                     NonPositiveF)
+    assert message == "replica 1: drift met x >= 2 at step 4, t = 2.5"
+
+    # the same drift in a step that the regime clock splits at every jump
+    q = np.array([[-50.0, 50.0], [50.0, -50.0]])
+    jumpy = ModelSpec(family="switching_diffusion", dim=1, noise_dim=0, drift=drift,
+                      switch_rates=lambda x: q, n_regimes=2,
+                      extinction_distance=lambda x, s=None: np.ones(np.shape(x)[:-1]))
+    replicas = replica_streams([StateVector(np.array([x]), 0) for x in (-100.0, 0.0, -100.0, 1.0)],
+                               1, 7)
+    cfg = SimConfig(dt=0.5, t_final=5.0, max_rate_bound=50.0)
+    message = _assert_lanes_raise_the_serial_failure(jumpy, replicas, cfg, NonPositiveF)
+    assert re.match(r"^replica 1: drift met x >= 2 at step [45], t = [0-9.]+$", message)
 
 
 def test_simulate_lanes_reduces_the_paths_below_a_failure_before_raising():
@@ -328,11 +427,8 @@ def test_simulate_lanes_raises_the_lowest_failing_chain_lane():
     cfg = SimConfig(dt=1.0, t_final=10.0)
     replicas = replica_streams([StateVector(np.array([x])) for x in (1e-3, 0.5, 1e-3, 2.0)],
                                1, 7)
-    message = _serial_failure(chain, replicas, cfg, NonPositiveF)
+    message = _assert_lanes_raise_the_serial_failure(chain, replicas, cfg, NonPositiveF)
     assert message == "replica 1: multipliers F_i must be strictly positive at step 4, t = 5.0"
-    with pytest.raises(NonPositiveF) as info:
-        simulate_lanes(chain, replicas, cfg)
-    assert str(info.value) == message
 
 
 def _chain_reference(model, ic, cfg, rng):
